@@ -8,9 +8,9 @@ clustering algorithm for point data, bundled benchmark datasets, and a
 command-line interface (``gapsense``).
 """
 
-from .baselines import (BaselineSpec, boxplot_detect, chauvenet_detect,
+from .baselines import (METHODS, boxplot_detect, chauvenet_detect,
                         mad_detect, mean_sigma_detect, normal_tail,
-                        tukey_hinges)
+                        run_method, tukey_hinges)
 from .datasets import (CatalogError, DataFormatError, builtin_dataset,
                        load_points2d, load_univariate)
 from .expanding import (DEFAULT_SENSITIVITY, DEFAULT_THRESHOLD, Detection,
@@ -29,8 +29,8 @@ from .simulate import (CurvePoint, SimScenario, breakdown_curve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineSpec", "boxplot_detect", "chauvenet_detect", "mad_detect",
-    "mean_sigma_detect", "normal_tail", "tukey_hinges",
+    "METHODS", "boxplot_detect", "chauvenet_detect", "mad_detect",
+    "mean_sigma_detect", "normal_tail", "run_method", "tukey_hinges",
     "CatalogError", "DataFormatError", "builtin_dataset", "load_points2d",
     "load_univariate",
     "DEFAULT_SENSITIVITY", "DEFAULT_THRESHOLD", "Detection", "IirRecord",

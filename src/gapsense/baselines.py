@@ -1,15 +1,17 @@
 """Classical univariate outlier detectors used for comparison.
 
 All four return the same :class:`~gapsense.expanding.Detection` shape as
-the expanding detectors, with an empty trace.
+the expanding detectors, with an empty trace.  :data:`METHODS` names
+every detector, classical and expanding, for the CLI and simulations.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist, fmean, median
+from typing import Callable
 
-from .expanding import Detection
+from .expanding import (DEFAULT_SENSITIVITY, Detection, Sensitivity,
+                        detect_high_side, detect_two_sided)
 from .samples import Sample
 
 MAD_CONSISTENCY = 1.4826  # makes MADn estimate sigma under normality
@@ -115,28 +117,24 @@ def chauvenet_detect(sample: Sample) -> Detection:
                                m - z_star * sd, m + z_star * sd)
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    """A baseline method plus its parameters, for tables and simulations."""
+#: Every detector by its command-line name.  Each entry takes the sample
+#: and the shared parameters (sensitivity, k, whisker, b) and uses only
+#: those its method has.
+METHODS: dict[str, Callable[..., Detection]] = {
+    "iir": lambda s, sens, k, whisker, b: detect_two_sided(s, sens),
+    "iir-high": lambda s, sens, k, whisker, b: detect_high_side(s, sens),
+    "mean": lambda s, sens, k, whisker, b: mean_sigma_detect(s, k),
+    "boxplot": lambda s, sens, k, whisker, b: boxplot_detect(s, whisker),
+    "mad": lambda s, sens, k, whisker, b: mad_detect(s, k, b),
+    "chauvenet": lambda s, sens, k, whisker, b: chauvenet_detect(s),
+}
 
-    method: str  # mean_sigma | boxplot | mad | chauvenet
-    k: float | None = None
-    whisker: float = 1.5
-    b: float = MAD_CONSISTENCY
 
-    def __post_init__(self):
-        if self.method not in ("mean_sigma", "boxplot", "mad", "chauvenet"):
-            raise ValueError(f"unknown baseline method {self.method!r}")
-        if self.k is not None and self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.whisker <= 0 or self.b <= 0:
-            raise ValueError("whisker and b must be positive")
-
-    def detect(self, sample: Sample) -> Detection:
-        if self.method == "mean_sigma":
-            return mean_sigma_detect(sample, self.k if self.k is not None else 3.0)
-        if self.method == "boxplot":
-            return boxplot_detect(sample, self.whisker)
-        if self.method == "mad":
-            return mad_detect(sample, self.k if self.k is not None else 3.0, self.b)
-        return chauvenet_detect(sample)
+def run_method(name: str, sample: Sample,
+               sens: Sensitivity = DEFAULT_SENSITIVITY, k: float = 3.0,
+               whisker: float = 1.5, b: float = MAD_CONSISTENCY) -> Detection:
+    """Run the detector registered in :data:`METHODS` under ``name``."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; choose from "
+                         f"{tuple(METHODS)}")
+    return METHODS[name](sample, sens, k, whisker, b)

@@ -1,6 +1,7 @@
 """Command-line front end: detect, compare, simulate, cluster.
 
-Exit codes: 0 success, 2 usage error, 3 data or I/O error.
+Exit codes: 0 success, 2 usage error, 3 data or I/O error or numeric
+overflow.
 Reports go to stdout, diagnostics to stderr.  GAPSENSE_SEED provides a
 fallback master seed when --seed is not given.
 """
@@ -12,12 +13,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baselines import (BaselineSpec, boxplot_detect, chauvenet_detect,
-                        mad_detect, mean_sigma_detect)
+from .baselines import METHODS, run_method
 from .datasets import (CatalogError, DataFormatError, TABLE_DATASETS,
                        builtin_dataset, load_points2d, load_univariate)
-from .expanding import (DEFAULT_THRESHOLD, Detection, Sensitivity,
-                        detect_high_side, detect_two_sided)
+from .expanding import DEFAULT_THRESHOLD, Detection, Sensitivity
 from .oscillator import PointSet, all_partner_sets, cluster_all, pairwise_distances
 from .samples import Sample
 from .serialize import (curves_to_csv, curves_to_dicts, detection_to_csv,
@@ -27,8 +26,6 @@ from .simulate import contamination_sweep, breakdown_curve, pure_normal_curve
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
-
-DETECT_METHODS = ("iir", "iir-high", "mean", "boxplot", "mad", "chauvenet")
 
 
 class UsageError(Exception):
@@ -64,20 +61,6 @@ def _load_sample(args) -> Sample:
     return load_univariate(args.input)
 
 
-def _run_method(name: str, sample: Sample, args) -> Detection:
-    if name == "iir":
-        return detect_two_sided(sample, _sensitivity(args))
-    if name == "iir-high":
-        return detect_high_side(sample, _sensitivity(args))
-    if name == "mean":
-        return mean_sigma_detect(sample, args.k if args.k is not None else 3.0)
-    if name == "boxplot":
-        return boxplot_detect(sample, args.whisker)
-    if name == "mad":
-        return mad_detect(sample, args.k if args.k is not None else 3.0, args.b)
-    return chauvenet_detect(sample)
-
-
 def _format_value(x: float) -> str:
     return f"{x:g}"
 
@@ -106,7 +89,8 @@ def _detect_text(det: Detection, sample: Sample, trace: bool) -> str:
 
 def cmd_detect(args) -> int:
     sample = _load_sample(args)
-    det = _run_method(args.method, sample, args)
+    det = run_method(args.method, sample, _sensitivity(args), args.k,
+                     args.whisker, args.b)
     if args.format == "json":
         _emit(to_json(detection_to_dict(det)), args.output)
     elif args.format == "csv":
@@ -127,13 +111,8 @@ def cmd_compare(args) -> int:
         data = builtin_dataset(name)
         if not isinstance(data, Sample):
             raise UsageError(f"dataset {name!r} is not univariate")
-        row = {}
-        row["mean"] = mean_sigma_detect(data, 3.0).outlier_values
-        row["boxplot"] = boxplot_detect(data, 1.5).outlier_values
-        row["mad"] = mad_detect(data, 3.0).outlier_values
-        row["chauvenet"] = chauvenet_detect(data).outlier_values
-        row["iir"] = detect_two_sided(data, sens).outlier_values
-        matrix[name] = {m: list(v) for m, v in row.items()}
+        matrix[name] = {m: list(run_method(m, data, sens).outlier_values)
+                        for m in columns}
     if args.format == "json":
         _emit(to_json({"columns": list(columns), "threshold_c": sens.threshold_c,
                        "rows": matrix}), args.output)
@@ -252,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="flag outliers in one dataset")
     add_io(p)
-    p.add_argument("--method", choices=DETECT_METHODS, default="iir")
+    p.add_argument("--method", choices=tuple(METHODS), default="iir")
     add_sensitivity(p)
-    p.add_argument("--k", type=float, help="multiplier for mean/mad methods")
+    p.add_argument("--k", type=float, default=3.0,
+                   help="multiplier for mean/mad methods")
     p.add_argument("--whisker", type=float, default=1.5)
     p.add_argument("--b", type=float, default=1.4826)
     p.add_argument("--trace", action="store_true",
@@ -306,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # bad parameter values (K/c out of range, undersized samples)
         return _fail(USAGE_ERROR, str(exc))
+    except ArithmeticError as exc:
+        return _fail(DATA_ERROR, f"numeric overflow: {exc}")
 
 
 if __name__ == "__main__":

@@ -20,14 +20,22 @@ Two detectors share the score:
 * :func:`detect_two_sided` grows the normal set outward from the median
   and flags both tails.
 
+Both, and the partner-set scan in :mod:`gapsense.oscillator`, order
+their gaps and hand them to one scan, :func:`_first_border`, which holds
+the running maximum and the stop rule.
+
 Sensitivity is a single knob: either the score threshold c in [0, 2]
 directly, or a Weber fraction K in [0, 1] (the just-noticeable
 difference ratio), linked bijectively by c = 2(1-K)/(1+K).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .samples import Sample
 
@@ -82,18 +90,49 @@ class Sensitivity:
 DEFAULT_SENSITIVITY = Sensitivity.from_threshold(DEFAULT_THRESHOLD)
 
 
-def iir_closed_form(gap: float, max_prev: float, n: int, span: float) -> float:
+def iir_closed_form(gap: float | np.ndarray, max_prev: float | np.ndarray,
+                    n: int, span: float) -> float | np.ndarray:
     """Inconsistency score of a gap: (n-1) * (gap - max_prev) / span.
 
     ``n`` is the number of data points (so n-1 is the gap count), ``span``
     their full range.  Negative when the gap is smaller than the largest
-    previously accepted one, zero when equal.
+    previously accepted one, zero when equal.  ``gap`` and ``max_prev``
+    may be numpy arrays, scored elementwise.  A span that overflowed to
+    infinity raises :class:`OverflowError`.
     """
+    if not math.isfinite(span):
+        raise OverflowError(f"span must be finite, got {span}")
     if span <= 0.0:
         raise ValueError(f"span must be positive, got {span}")
     if n < 2:
         raise ValueError(f"need at least two points, got n={n}")
     return (n - 1) * (gap - max_prev) / span
+
+
+def _gaps(values) -> np.ndarray:
+    """Consecutive differences of an ascending series.
+
+    A difference that overflows stays infinite, without a warning: the
+    span is then infinite too and :func:`iir_closed_form` rejects it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.diff(values)
+
+
+def _first_border(gaps: np.ndarray, start_max: float, n: int, span: float,
+                  c: float, first: int = 0) -> tuple[int | None, np.ndarray,
+                                                      np.ndarray]:
+    """The expanding scan: score each gap against the largest one before it.
+
+    Gap t is scored against ``max(start_max, gaps[:t])``.  The border is
+    the first t >= ``first`` whose score reaches c (None when there is
+    none); the gaps after it are never accepted, but all are scored.
+    Returns the border with every gap's ``max_prev`` and score.
+    """
+    max_prev = np.maximum.accumulate(np.concatenate(([start_max], gaps)))[:-1]
+    iir = iir_closed_form(gaps, max_prev, n, span)
+    hits = np.flatnonzero(iir[first:] >= c)
+    return (first + int(hits[0]) if hits.size else None), max_prev, iir
 
 
 @dataclass(frozen=True)
@@ -148,13 +187,24 @@ def _empty_detection(sample: Sample, method: str, params: dict,
                      degenerate=degenerate)
 
 
-def _record(index: int, side: Side, gap: float, max_prev: float,
-            n: int, span: float, threshold: float) -> IirRecord:
-    iir = iir_closed_form(gap, max_prev, n, span)
-    er = (n - 1) * gap / span
-    ihr = gap / (gap - max_prev) if gap != max_prev else None
-    return IirRecord(index=index, side=side, gap=gap, max_prev=max_prev,
-                     er=er, ihr=ihr, iir=iir, accepted=iir < threshold)
+def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
+           max_prev: np.ndarray, iir: np.ndarray, n: int, span: float,
+           border: int | None) -> tuple[IirRecord, ...]:
+    """Records of the scanned gaps, up to and including the border."""
+    stop = len(gap) if border is None else border + 1
+    gap, max_prev = gap[:stop], max_prev[:stop]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ihr = gap / (gap - max_prev)
+    accepted = [True] * stop
+    if border is not None:
+        accepted[-1] = False
+    return tuple(
+        IirRecord(index=i, side=sd, gap=g, max_prev=m, er=e,
+                  ihr=h if g != m else None, iir=r, accepted=a)
+        for i, sd, g, m, e, h, r, a in zip(
+            index[:stop].tolist(), sides[:stop], gap.tolist(), max_prev.tolist(),
+            ((n - 1) * gap / span).tolist(), ihr.tolist(),
+            iir[:stop].tolist(), accepted))
 
 
 def detect_high_side(sample: Sample,
@@ -178,36 +228,23 @@ def detect_high_side(sample: Sample,
     if span == 0.0:
         return _empty_detection(sample, method, params, degenerate=True)
 
-    c = sens.threshold_c
-    max_prev = v[1] - v[0]
-    trace: list[IirRecord] = []
-    border: IirRecord | None = None
-    for i in range(2, n):
-        gap = v[i] - v[i - 1]
-        rec = _record(i, "high", gap, max_prev, n, span, c)
-        # the border additionally needs the majority constraint i > n/2
-        hit = rec.iir >= c and i > n / 2
-        rec = replace(rec, accepted=not hit)
-        trace.append(rec)
-        if hit:
-            border = rec
-            break
-        max_prev = max(max_prev, gap)
-
+    # gap i (2..n-1) is d[i-1]; the first gap seeds the maximum and i > n/2
+    d = _gaps(v)
+    border, max_prev, iir = _first_border(d[1:], d[0], n, span,
+                                          sens.threshold_c, first=n // 2 - 1)
+    trace = _trace(np.arange(2, n), ["high"] * (n - 2), d[1:], max_prev, iir,
+                   n, span, border)
     if border is None:
         return Detection(method=method, params=params,
                          outlier_values=(), outlier_indices=(),
-                         normal_low=v[0], normal_high=v[-1],
-                         trace=tuple(trace))
-    cut = v[border.index]
-    idx = tuple(j for j in range(n) if v[j] >= cut)
-    normal = [x for x in v if x < cut]
+                         normal_low=v[0], normal_high=v[-1], trace=trace)
+    cut = bisect_left(v, v[border + 2])
     return Detection(method=method, params=params,
-                     outlier_values=tuple(v[j] for j in idx),
-                     outlier_indices=idx,
-                     normal_low=normal[0] if normal else None,
-                     normal_high=normal[-1] if normal else None,
-                     trace=tuple(trace), border=border)
+                     outlier_values=v[cut:],
+                     outlier_indices=tuple(range(cut, n)),
+                     normal_low=v[0] if cut else None,
+                     normal_high=v[cut - 1] if cut else None,
+                     trace=trace, border=trace[-1])
 
 
 def detect_two_sided(sample: Sample,
@@ -232,61 +269,37 @@ def detect_two_sided(sample: Sample,
     if span == 0.0:
         return _empty_detection(sample, method, params, degenerate=True)
 
-    c = sens.threshold_c
-    if n % 2 == 0:
-        lo, hi = n // 2 - 1, n // 2
-    else:
-        lo = hi = n // 2
-    target = n // 2 + 1
-
-    # Phase 1: no scores yet, just grow to majority size.
-    while hi - lo + 1 < target:
-        if lo == 0:
-            hi += 1
-        elif hi == n - 1:
-            lo -= 1
-        elif v[hi + 1] - v[hi] > v[lo] - v[lo - 1]:
-            lo -= 1
-        else:
-            hi += 1
-
-    max_prev = max(v[k] - v[k - 1] for k in range(lo + 1, hi + 1))
-
-    trace: list[IirRecord] = []
-    border: IirRecord | None = None
-    while not (lo == 0 and hi == n - 1):
-        if lo == 0:
-            side: Side = "high"
-        elif hi == n - 1:
-            side = "low"
-        elif v[hi + 1] - v[hi] > v[lo] - v[lo - 1]:
-            side = "low"
-        else:
-            side = "high"
-        if side == "low":
-            idx, gap = lo, v[lo] - v[lo - 1]
-        else:
-            idx, gap = hi + 1, v[hi + 1] - v[hi]
-        rec = _record(idx, side, gap, max_prev, n, span, c)
-        trace.append(rec)
-        if rec.iir >= c:
-            border = rec
-            break
-        if side == "low":
-            lo -= 1
-        else:
-            hi += 1
-        max_prev = max(max_prev, gap)
-
+    # Outward gap runs from the median position(s): gap index hi+1, hi+2,
+    # ... to the right and lo, lo-1, ... to the left (gap i is d[i-1]).
+    d = _gaps(v)
+    lo, hi = (n - 1) // 2, n // 2
+    right, left = d[hi:], d[:lo][::-1]
+    # "Absorb the smaller frontier gap, ties go right" takes the gaps in
+    # the order of a stable merge of the two runs keyed by running maximum.
+    order = np.argsort(np.concatenate((np.maximum.accumulate(right),
+                                       np.maximum.accumulate(left))),
+                       kind="stable")
+    is_right = order < len(right)
+    index = np.where(is_right, hi + 1 + order, lo + len(right) - order)
+    gaps = np.concatenate((right, left))[order]
+    # Phase 1 absorbs up to majority size; its gaps (and the middle gap
+    # when n is even) seed the inhibition level of phase 2.
+    grown = n // 2 + 1 - (hi - lo + 1)
+    start_max = float(np.concatenate((d[lo:hi], gaps[:grown])).max())
+    border, max_prev, iir = _first_border(gaps[grown:], start_max, n, span,
+                                          sens.threshold_c)
+    trace = _trace(index[grown:],
+                   np.where(is_right[grown:], "high", "low").tolist(),
+                   gaps[grown:], max_prev, iir, n, span, border)
     if border is None:
         return Detection(method=method, params=params,
                          outlier_values=(), outlier_indices=(),
-                         normal_low=v[0], normal_high=v[-1],
-                         trace=tuple(trace))
-    low, high = v[lo], v[hi]
-    idxs = tuple(j for j in range(n) if v[j] < low or v[j] > high)
+                         normal_low=v[0], normal_high=v[-1], trace=trace)
+    n_right = int(is_right[:grown + border].sum())
+    low, high = v[lo - (grown + border - n_right)], v[hi + n_right]
+    a, b = bisect_left(v, low), bisect_right(v, high)
     return Detection(method=method, params=params,
-                     outlier_values=tuple(v[j] for j in idxs),
-                     outlier_indices=idxs,
+                     outlier_values=v[:a] + v[b:],
+                     outlier_indices=tuple(range(a)) + tuple(range(b, n)),
                      normal_low=low, normal_high=high,
-                     trace=tuple(trace), border=border)
+                     trace=trace, border=trace[-1])

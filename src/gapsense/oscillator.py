@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expanding import DEFAULT_SENSITIVITY, Sensitivity, iir_closed_form
+from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _first_border, _gaps
 
 
 @dataclass(frozen=True)
@@ -65,30 +65,21 @@ class DistanceMatrix:
         return self.dist[i - 1]
 
 
-Metric = Callable[[Sequence[float], Sequence[float]], float]
+def pairwise_distances(points: PointSet) -> DistanceMatrix:
+    """Euclidean distance matrix; symmetry is exact by construction.
 
-
-def pairwise_distances(points: PointSet,
-                       metric: Metric | None = None) -> DistanceMatrix:
-    """Distance matrix, Euclidean by default; symmetry is exact by construction.
-
-    A custom ``metric(p, q)`` is applied to each unordered pair once, so
-    the matrix stays symmetric even for sloppy metrics.
+    For another metric, build a :class:`DistanceMatrix` directly and pass
+    it to :func:`all_partner_sets`.  A distance that overflows stays
+    infinite, and the partner-set scan rejects it with OverflowError.
     """
     arr = np.asarray(points.points, dtype=float)
     n = arr.shape[0]
     dist = np.zeros((n, n))
-    if metric is None:
+    with np.errstate(over="ignore"):
         for i in range(n):
             d = np.sqrt(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1))
             dist[i, i + 1:] = d
             dist[i + 1:, i] = d
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(metric(points.points[i], points.points[j]))
-                dist[i, j] = d
-                dist[j, i] = d
     return DistanceMatrix(dist=dist)
 
 
@@ -128,28 +119,22 @@ def partner_set(dm: DistanceMatrix, i: int,
     if not 1 <= i <= n:
         raise ValueError(f"point id {i} outside 1..{n}")
     row = dm.row(i)
-    order = sorted(j + 1 for j in range(n) if j + 1 != i)
-    order.sort(key=lambda j: row[j - 1])
-    series = [0.0] + [float(row[j - 1]) for j in order]
-    span = series[-1]
-    everyone = frozenset(order)
+    everyone = frozenset(range(1, n + 1)) - {i}
+    series = np.concatenate(([0.0], np.sort(np.delete(row, i - 1))))
+    span = float(series[-1])
     if span <= 0.0:
         return PartnerSet(owner=i, partners=everyone, radius=math.inf)
-
-    c = sens.threshold_c
-    max_prev = series[1] - series[0]
-    border = None
-    for t in range(2, n):
-        gap = series[t] - series[t - 1]
-        if t >= min_partners + 1 and iir_closed_form(gap, max_prev, n, span) >= c:
-            border = t
-            break
-        max_prev = max(max_prev, gap)
+    # gap t (2..n-1) is d[t-1]; the nearest-neighbor gap seeds the maximum
+    d = _gaps(series)
+    border, _, _ = _first_border(d[1:], d[0], n, span, sens.threshold_c,
+                                 first=min_partners - 1)
     if border is None:
         return PartnerSet(owner=i, partners=everyone, radius=math.inf)
-    radius = series[border]
-    partners = frozenset(j for j in order if row[j - 1] < radius)
-    return PartnerSet(owner=i, partners=partners, radius=radius)
+    radius = float(series[border + 2])
+    near = row < radius
+    near[i - 1] = False
+    return PartnerSet(owner=i, radius=radius,
+                      partners=frozenset((np.flatnonzero(near) + 1).tolist()))
 
 
 def all_partner_sets(dm: DistanceMatrix,
@@ -167,7 +152,6 @@ class ResonanceRun:
     seed: int
     fired: frozenset[int]
     silent: bool
-    rounds: int
 
 
 def resonate(partner_sets: Mapping[int, PartnerSet], seed: int) -> ResonanceRun:
@@ -182,7 +166,6 @@ def resonate(partner_sets: Mapping[int, PartnerSet], seed: int) -> ResonanceRun:
         raise ValueError(f"unknown seed id {seed}")
     fired = {seed}
     frontier = {seed}
-    rounds = 0
     while frontier:
         step = set()
         for i in frontier:
@@ -192,14 +175,11 @@ def resonate(partner_sets: Mapping[int, PartnerSet], seed: int) -> ResonanceRun:
             break
         fired |= step
         frontier = step
-        rounds += 1
     silent = not any(seed in partner_sets[i].partners
                      for i in fired if i != seed)
     if silent:
-        return ResonanceRun(seed=seed, fired=frozenset({seed}),
-                            silent=True, rounds=rounds)
-    return ResonanceRun(seed=seed, fired=frozenset(fired),
-                        silent=False, rounds=rounds)
+        return ResonanceRun(seed=seed, fired=frozenset({seed}), silent=True)
+    return ResonanceRun(seed=seed, fired=frozenset(fired), silent=False)
 
 
 @dataclass(frozen=True)
@@ -230,25 +210,19 @@ class ClusterPartition:
         return len(self.summary)
 
 
-def cluster_all(partner_sets: Mapping[int, PartnerSet],
-                master_order: Sequence[int] | None = None) -> ClusterPartition:
+def cluster_all(partner_sets: Mapping[int, PartnerSet]) -> ClusterPartition:
     """Combine the resonance runs of every seed into one partition.
 
     Every non-silent run votes for its fired set; a point's label is the
     most frequent fired set among the runs that contain it, ties broken
-    toward the set voted by the smallest seed id.  Results are aggregated
-    by point id, so ``master_order`` only controls evaluation order and
-    cannot change the outcome.
+    toward the set voted by the smallest seed id.
     """
     ids = sorted(partner_sets)
     n = len(ids)
     if ids != list(range(1, n + 1)):
         raise ValueError("partner sets must cover ids 1..n")
-    order = list(master_order) if master_order is not None else ids
-    if sorted(order) != ids:
-        raise ValueError("master_order must be a permutation of 1..n")
 
-    runs = {seed: resonate(partner_sets, seed) for seed in order}
+    runs = {seed: resonate(partner_sets, seed) for seed in ids}
     silent_ids = frozenset(s for s, r in runs.items() if r.silent)
 
     votes: dict[frozenset[int], int] = {}

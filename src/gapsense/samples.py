@@ -10,10 +10,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-class DegenerateSampleError(ValueError):
-    """Raised when an operation needs a positive value range and has none."""
-
-
 @dataclass(frozen=True)
 class Sample:
     """An ascending-sorted series of finite real values with a provenance label.

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .baselines import BaselineSpec
-from .expanding import DEFAULT_SENSITIVITY, Detection, Sensitivity, detect_two_sided
+from .baselines import run_method
+from .expanding import DEFAULT_SENSITIVITY, Detection, Sensitivity
 from .samples import Sample
 
 _MASK64 = (1 << 64) - 1
@@ -116,17 +116,6 @@ class CurvePoint:
     recall: dict[str, float | None]
 
 
-def _resolve_method(name: str, sens: Sensitivity,
-                    specs: Mapping[str, BaselineSpec] | None):
-    if name == "iir":
-        return lambda s: detect_two_sided(s, sens)
-    if name in ("boxplot", "mad"):
-        spec = (specs or {}).get(name) or BaselineSpec(method=name)
-        return spec.detect
-    raise ValueError(f"unsupported simulation method {name!r}; "
-                     f"choose from {SIM_METHODS}")
-
-
 def _flagged_mask(det: Detection, values: np.ndarray) -> np.ndarray:
     if det.normal_low is None or det.normal_high is None:
         return np.ones(len(values), dtype=bool)
@@ -134,9 +123,11 @@ def _flagged_mask(det: Detection, values: np.ndarray) -> np.ndarray:
 
 
 def _sweep_point(scn: SimScenario, x: float, methods: Sequence[str],
-                 sens: Sensitivity,
-                 specs: Mapping[str, BaselineSpec] | None) -> CurvePoint:
-    detectors = {m: _resolve_method(m, sens, specs) for m in methods}
+                 sens: Sensitivity) -> CurvePoint:
+    for m in methods:
+        if m not in SIM_METHODS:
+            raise ValueError(f"unsupported simulation method {m!r}; "
+                             f"choose from {SIM_METHODS}")
     n, reps = scn.n, scn.reps
     m_cont = scn.n_contaminants
     detected = {m: np.empty(reps) for m in methods}
@@ -144,8 +135,8 @@ def _sweep_point(scn: SimScenario, x: float, methods: Sequence[str],
     for rep in range(reps):
         values = contaminated_sample(scn, rep)
         sample = Sample.from_iterable(values, label=f"sim-rep{rep}")
-        for m, detect in detectors.items():
-            det = detect(sample)
+        for m in methods:
+            det = run_method(m, sample, sens)
             detected[m][rep] = 100.0 * det.n_outliers / n
             if m_cont:
                 mask = _flagged_mask(det, values[n - m_cont:])
@@ -161,8 +152,7 @@ def _sweep_point(scn: SimScenario, x: float, methods: Sequence[str],
 
 def breakdown_curve(scenarios: Sequence[SimScenario],
                     methods: Sequence[str] = SIM_METHODS,
-                    sens: Sensitivity = DEFAULT_SENSITIVITY,
-                    specs: Mapping[str, BaselineSpec] | None = None
+                    sens: Sensitivity = DEFAULT_SENSITIVITY
                     ) -> list[CurvePoint]:
     """Average detected percent per method across a contamination sweep.
 
@@ -171,7 +161,7 @@ def breakdown_curve(scenarios: Sequence[SimScenario],
     underlying noise is reused across sweep positions (common random
     numbers) and reruns are bit-identical.
     """
-    return [_sweep_point(scn, 100.0 * scn.contamination, methods, sens, specs)
+    return [_sweep_point(scn, 100.0 * scn.contamination, methods, sens)
             for scn in scenarios]
 
 
@@ -191,8 +181,7 @@ def contamination_sweep(n: int = 500, fractions: Sequence[float] | None = None,
 def pure_normal_curve(sizes: Sequence[int],
                       methods: Sequence[str] = SIM_METHODS,
                       reps: int = 1000, master_seed: int = 0,
-                      sens: Sensitivity = DEFAULT_SENSITIVITY,
-                      specs: Mapping[str, BaselineSpec] | None = None
+                      sens: Sensitivity = DEFAULT_SENSITIVITY
                       ) -> list[CurvePoint]:
     """False-alarm rates on uncontaminated standard-normal samples."""
     points = []
@@ -202,5 +191,5 @@ def pure_normal_curve(sizes: Sequence[int],
         scn = SimScenario(n=size, contamination=0.0, target=(0.0, 1.0),
                           contaminant=(0.0, 1.0), reps=reps,
                           master_seed=master_seed)
-        points.append(_sweep_point(scn, float(size), methods, sens, specs))
+        points.append(_sweep_point(scn, float(size), methods, sens))
     return points

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapsense import (BaselineSpec, Sample, boxplot_detect, builtin_dataset,
+from gapsense import (METHODS, Sample, boxplot_detect, builtin_dataset,
                       chauvenet_detect, mad_detect, mean_sigma_detect,
-                      normal_tail, tukey_hinges)
+                      normal_tail, run_method, tukey_hinges)
 
 FIVE = ("rosner", "barnett", "grubbs1", "grubbs3", "cushny")
 
@@ -186,14 +186,16 @@ def test_monotone_in_k():
             assert small <= large
 
 
-def test_baseline_spec_dispatch():
+def test_method_table_dispatch():
     s = builtin_dataset("cushny")
-    assert BaselineSpec("boxplot").detect(s).outlier_values == (4.6,)
-    assert BaselineSpec("mean_sigma").detect(s).outlier_values == ()
-    assert BaselineSpec("mean_sigma", k=2.0).detect(s).outlier_values == (4.6,)
-    assert BaselineSpec("mad").detect(s).outlier_values == (4.6,)
-    assert BaselineSpec("chauvenet").detect(s).outlier_values == (4.6,)
+    assert set(METHODS) == {"iir", "iir-high", "mean", "boxplot", "mad",
+                            "chauvenet"}
+    assert run_method("boxplot", s).outlier_values == (4.6,)
+    assert run_method("mean", s).outlier_values == ()
+    assert run_method("mean", s, k=2.0).outlier_values == (4.6,)
+    assert run_method("mad", s).outlier_values == (4.6,)
+    assert run_method("chauvenet", s).outlier_values == (4.6,)
     with pytest.raises(ValueError):
-        BaselineSpec("zscore")
+        run_method("zscore", s)
     with pytest.raises(ValueError):
-        BaselineSpec("mad", k=-1)
+        run_method("mad", s, k=-1)

@@ -72,6 +72,29 @@ def test_detect_from_file(capsys, tmp_path):
     assert "100" in out
 
 
+@pytest.mark.parametrize("method", ["iir", "iir-high", "mean", "chauvenet"])
+def test_detect_overflowing_range_is_data_error(capsys, tmp_path, method):
+    p = tmp_path / "huge.txt"
+    p.write_text("-1.7e308\n1.7e308\n0\n1\n2\n")
+    code, out, err = run(capsys, "detect", "--input", str(p),
+                         "--method", method)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("gapsense: error: numeric overflow: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["boxplot", "mad"])
+def test_detect_overflowing_range_robust_methods_flag_extremes(
+        capsys, tmp_path, method):
+    p = tmp_path / "huge.txt"
+    p.write_text("-1.7e308\n1.7e308\n0\n1\n2\n")
+    code, out, _ = run(capsys, "detect", "--input", str(p),
+                       "--method", method)
+    assert code == 0
+    assert "outliers: -1.7e+308, 1.7e+308" in out
+
+
 def test_detect_missing_file_is_data_error(capsys):
     code, _, err = run(capsys, "detect", "--input", "/does/not/exist.txt")
     assert code == 3
@@ -187,6 +210,17 @@ def test_cluster_ruspini_runs(capsys):
     code, out, _ = run(capsys, "cluster", "--dataset", "ruspini")
     assert code == 0
     assert "points: 75" in out
+
+
+def test_cluster_overflowing_distances_is_data_error(capsys, tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text("1e308,0\n-1e308,0\n0,0\n1,0\n2,0\n")
+    code, out, err = run(capsys, "cluster", "--input", str(p),
+                         "--min-partners", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("gapsense: error: numeric overflow: ")
+    assert "Traceback" not in err
 
 
 def test_cluster_malformed_file(capsys, tmp_path):

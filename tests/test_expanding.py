@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gapsense import (Sample, Sensitivity, builtin_dataset, detect_high_side,
                       detect_two_sided, iir_closed_form, threshold_to_weber,
                       weber_to_threshold)
+from scan_oracles import high_side_loop, two_sided_loop, two_sided_oracle
 
 SENS = Sensitivity.from_threshold(1.81)
 
@@ -35,6 +36,8 @@ def test_closed_form_domain_errors():
         iir_closed_form(1.0, 0.5, 10, -2.0)
     with pytest.raises(ValueError):
         iir_closed_form(1.0, 0.5, 1, 1.0)
+    with pytest.raises(OverflowError):
+        iir_closed_form(1.0, 0.5, 10, float("inf"))
 
 
 @given(gap=st.floats(1e-6, 1e6), max_prev=st.floats(0, 1e6),
@@ -175,53 +178,7 @@ def test_determinism_bit_identical():
     assert detect_high_side(s, SENS) == detect_high_side(s, SENS)
 
 
-# --- independent brute-force oracle --------------------------------------
-
-def two_sided_oracle(values, c):
-    """Re-simulates the median-expanding scan with quadratic recomputation.
-
-    Keeps the accepted members as an explicit list and rescans all of its
-    interior gaps at every step instead of maintaining a running maximum.
-    """
-    v = sorted(values)
-    n = len(v)
-    if n < 3 or v[-1] == v[0]:
-        return set()
-    span = v[-1] - v[0]
-    members = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
-    while len(members) < n // 2 + 1:
-        lo, hi = members[0], members[-1]
-        if lo == 0:
-            members.append(hi + 1)
-        elif hi == n - 1:
-            members.insert(0, lo - 1)
-        elif v[hi + 1] - v[hi] > v[lo] - v[lo - 1]:
-            members.insert(0, lo - 1)
-        else:
-            members.append(hi + 1)
-    while True:
-        lo, hi = members[0], members[-1]
-        if lo == 0 and hi == n - 1:
-            return set()
-        max_interior = max(v[members[k]] - v[members[k - 1]]
-                           for k in range(1, len(members)))
-        if lo == 0:
-            side = "high"
-        elif hi == n - 1:
-            side = "low"
-        elif v[hi + 1] - v[hi] > v[lo] - v[lo - 1]:
-            side = "low"
-        else:
-            side = "high"
-        gap = v[lo] - v[lo - 1] if side == "low" else v[hi + 1] - v[hi]
-        if (n - 1) * (gap - max_interior) / span >= c:
-            low, high = v[lo], v[hi]
-            return {j for j in range(n) if v[j] < low or v[j] > high}
-        if side == "low":
-            members.insert(0, lo - 1)
-        else:
-            members.append(hi + 1)
-
+# --- reference loops and the independent brute-force oracle ------------------
 
 def test_two_sided_matches_oracle_on_small_samples():
     rng = random.Random(20260810)
@@ -236,6 +193,25 @@ def test_two_sided_matches_oracle_on_small_samples():
                                Sensitivity.from_threshold(c))
         assert set(det.outlier_indices) == two_sided_oracle(values, c), (
             values, c)
+
+
+ORACLE_THRESHOLDS = (0.0, 0.5, 1.1, 1.81, 1.96, 2.0)
+
+
+def test_detectors_equal_reference_loops_record_for_record():
+    rng = random.Random(20261017)
+    for trial in range(3000):
+        n = rng.randint(1, 40)
+        if trial % 3 == 0:
+            values = [rng.randint(0, rng.choice([1, 3, 8])) for _ in range(n)]
+        else:
+            values = [rng.uniform(-5, 5) for _ in range(n)]
+        sample = Sample.from_iterable(values)
+        sens = Sensitivity.from_threshold(rng.choice(ORACLE_THRESHOLDS))
+        assert detect_high_side(sample, sens) == high_side_loop(sample, sens), (
+            values, sens)
+        assert detect_two_sided(sample, sens) == two_sided_loop(sample, sens), (
+            values, sens)
 
 
 def test_two_sided_majority_guarantee():

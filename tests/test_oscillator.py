@@ -2,11 +2,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from gapsense import (PartnerSet, PointSet, Sensitivity, all_partner_sets,
-                      builtin_dataset, cluster_all, cluster_points,
-                      pairwise_distances, partner_set, resonate)
+from gapsense import (DistanceMatrix, PartnerSet, PointSet, Sensitivity,
+                      all_partner_sets, builtin_dataset, cluster_all,
+                      cluster_points, pairwise_distances, partner_set,
+                      resonate)
+from scan_oracles import partner_set_loop
 
 SENS = Sensitivity.from_threshold(1.81)
 
@@ -43,14 +46,6 @@ def test_pointset_validation():
         PointSet.from_iterable([(0, 0), (1, float("nan"))])
     with pytest.raises(ValueError):
         PointSet.from_iterable([(0, 0), (1, 2, 3)])
-
-
-def test_custom_metric():
-    pts = PointSet.from_iterable([(0, 0), (3, 4)])
-    manhattan = pairwise_distances(
-        pts, metric=lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
-    assert manhattan.dist[0, 1] == 7.0
-    assert manhattan.dist[1, 0] == 7.0
 
 
 # --- partner sets --------------------------------------------------------------
@@ -98,6 +93,29 @@ def test_partner_validation():
         partner_set(dm, 1, SENS, min_partners=4)
     with pytest.raises(ValueError):
         partner_set(dm, 1, SENS, min_partners=0)
+
+
+def test_partner_sets_equal_reference_loop():
+    rng = random.Random(20261017)
+    for trial in range(300):
+        n = rng.randint(2, 30)
+        if trial % 2:
+            pts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n)]
+        else:
+            pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
+        if trial % 5 == 0:
+            # a custom metric enters as a precomputed matrix (Manhattan here)
+            arr = np.asarray(pts, dtype=float)
+            dm = DistanceMatrix(
+                np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2))
+        else:
+            dm = pairwise_distances(PointSet.from_iterable(pts))
+        sens = Sensitivity.from_threshold(
+            rng.choice((0.0, 0.5, 1.1, 1.81, 1.96, 2.0)))
+        mp = rng.randint(1, min(5, n - 1))
+        for i in range(1, n + 1):
+            assert partner_set(dm, i, sens, mp) == \
+                partner_set_loop(dm, i, sens, mp), (pts, sens, mp, i)
 
 
 def test_ruspini_point_70_partners_stay_in_bottom_group():
@@ -245,17 +263,6 @@ def test_two_triangles_match_mutual_reachability_oracle():
     assert got == [(1, 2, 3), (4, 5, 6)]
 
 
-def test_master_order_does_not_change_labels():
-    pts = PointSet.from_iterable(square(0, 0) + square(40, 0) + square(0, 40))
-    sets = all_partner_sets(pairwise_distances(pts), SENS, 3)
-    base = cluster_all(sets)
-    rng = random.Random(3)
-    for _ in range(5):
-        order = list(range(1, pts.n + 1))
-        rng.shuffle(order)
-        assert cluster_all(sets, master_order=order) == base
-
-
 def test_partner_sets_invariant_under_scaling():
     rng = random.Random(17)
     pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(12)]
@@ -269,13 +276,11 @@ def test_partner_sets_invariant_under_scaling():
             assert a[i].partners == b[i].partners
 
 
-def test_cluster_all_validates_ids_and_order():
+def test_cluster_all_validates_ids():
     pts = PointSet.from_iterable(square(0, 0) + square(100, 100))
     sets = all_partner_sets(pairwise_distances(pts), SENS, 3)
     with pytest.raises(ValueError):
         cluster_all({k: v for k, v in sets.items() if k != 1})
-    with pytest.raises(ValueError):
-        cluster_all(sets, master_order=[1, 2, 3])
 
 
 def test_nonsilent_seed_in_own_fired_set():
