@@ -18,9 +18,8 @@ from .expanding import (DEFAULT_SENSITIVITY, DEFAULT_THRESHOLD, Detection,
                         detect_two_sided, iir_closed_form,
                         threshold_to_weber, weber_to_threshold)
 from .oscillator import (ClusterPartition, ClusterSummary, DistanceMatrix,
-                         PartnerSet, PointSet, ResonanceRun, all_partner_sets,
-                         cluster_all, cluster_points, pairwise_distances,
-                         partner_set, resonate)
+                         PartnerSet, PointSet, all_partner_sets, cluster_all,
+                         cluster_points, pairwise_distances, partner_set)
 from .samples import GapSeries, Sample, gap_series
 from .simulate import (CurvePoint, SimScenario, breakdown_curve,
                        contaminated_sample, contamination_sweep,
@@ -37,8 +36,8 @@ __all__ = [
     "Sensitivity", "detect_high_side", "detect_two_sided", "iir_closed_form",
     "threshold_to_weber", "weber_to_threshold",
     "ClusterPartition", "ClusterSummary", "DistanceMatrix", "PartnerSet",
-    "PointSet", "ResonanceRun", "all_partner_sets", "cluster_all",
-    "cluster_points", "pairwise_distances", "partner_set", "resonate",
+    "PointSet", "all_partner_sets", "cluster_all", "cluster_points",
+    "pairwise_distances", "partner_set",
     "GapSeries", "Sample", "gap_series",
     "CurvePoint", "SimScenario", "breakdown_curve", "contaminated_sample",
     "contamination_sweep", "polar_normals", "pure_normal_curve",

@@ -18,8 +18,27 @@ MAD_CONSISTENCY = 1.4826  # makes MADn estimate sigma under normality
 
 
 def _sample_sd(values: tuple[float, ...], mean: float) -> float:
-    n = len(values)
-    return math.sqrt(sum((x - mean) ** 2 for x in values) / (n - 1))
+    """Sample standard deviation (n-1 divisor) of sorted ``values``.
+
+    The deviations are scaled by a power of two near the largest one
+    before squaring, so subnormal spreads do not underflow to zero and
+    huge ones do not overflow; power-of-two scaling is exact, so on
+    ordinary inputs the result is that of squaring unscaled deviations.
+    """
+    _, e = math.frexp(max(values[-1] - mean, mean - values[0]))
+    scaled = [math.ldexp(x - mean, -e) for x in values]
+    var = sum(d * d for d in scaled) / (len(values) - 1)
+    return math.ldexp(math.sqrt(var), e)
+
+
+def _mean_interval(values: tuple[float, ...], k: float) -> tuple[float, float]:
+    """mean -+ k sample standard deviations; OverflowError past a double."""
+    m = fmean(values)
+    sd = _sample_sd(values, m)
+    low, high = m - k * sd, m + k * sd
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise OverflowError(f"mean -+ {k:g} sd leaves the double range")
+    return low, high
 
 
 def _interval_detection(sample: Sample, method: str, params: dict,
@@ -38,11 +57,8 @@ def mean_sigma_detect(sample: Sample, k: float = 3.0) -> Detection:
         raise ValueError("mean/sigma detection needs at least two values")
     if k <= 0:
         raise ValueError("k must be positive")
-    m = fmean(sample.values)
-    sd = _sample_sd(sample.values, m)
-    if sd == 0.0:
-        return _interval_detection(sample, "mean", {"k": k}, m, m)
-    return _interval_detection(sample, "mean", {"k": k}, m - k * sd, m + k * sd)
+    return _interval_detection(sample, "mean", {"k": k},
+                               *_mean_interval(sample.values, k))
 
 
 def tukey_hinges(sample: Sample) -> tuple[float, float]:
@@ -107,14 +123,10 @@ def chauvenet_detect(sample: Sample) -> Detection:
     n = sample.n
     if n < 3:
         raise ValueError("the expected-count criterion needs at least three values")
-    m = fmean(sample.values)
-    sd = _sample_sd(sample.values, m)
-    if sd == 0.0:
-        return _interval_detection(sample, "chauvenet", {}, m, m)
     # n * P(|Z| > z) < 0.5  <=>  z > z* with Phi(z*) = 1 - 1/(4n)
     z_star = NormalDist().inv_cdf(1.0 - 0.25 / n)
     return _interval_detection(sample, "chauvenet", {},
-                               m - z_star * sd, m + z_star * sd)
+                               *_mean_interval(sample.values, z_star))
 
 
 #: Every detector by its command-line name.  Each entry takes the sample

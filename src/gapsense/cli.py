@@ -150,6 +150,8 @@ def _master_seed(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
+    if args.sizes and args.scenario != "fig1c":
+        raise UsageError("--sizes applies only to --scenario fig1c")
     seed = _master_seed(args)
     if args.scenario == "fig1c":
         sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-mean", type=float, default=10.0,
                    help="contaminant mean (custom scenario)")
     p.add_argument("--g-sd", type=float, default=1.0)
-    p.add_argument("--sizes", help="comma-separated sizes (fig1c/custom)")
+    p.add_argument("--sizes", help="comma-separated sample sizes (fig1c "
+                   "only; default 10,50,100,500,1000,5000,10000)")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, help="master seed "
                    "(default GAPSENSE_SEED or 0)")

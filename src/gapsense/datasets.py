@@ -98,26 +98,18 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
-def load_univariate(path: str | Path, format: str = "auto") -> Sample:
+def load_univariate(path: str | Path) -> Sample:
     """Read one or more finite numbers per line into a sorted Sample.
 
-    ``format`` may be "auto", "csv", or "whitespace"; auto sniffs per
-    line.  Any unparsable or non-finite token fails with its line number.
+    Each line is comma-separated if it holds a comma, else
+    whitespace-separated; blank lines and ``#`` comments are skipped.
+    Any unparsable or non-finite token fails with its line number.
     """
-    if format not in ("auto", "csv", "whitespace"):
-        raise ValueError(f"unknown format {format!r}")
     path = Path(path)
     values: list[float] = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if format == "csv":
-                toks = [t.strip() for t in line.strip().split(",") if t.strip()] \
-                    if line.strip() and not line.lstrip().startswith("#") else []
-            elif format == "whitespace":
-                toks = line.split() if not line.lstrip().startswith("#") else []
-            else:
-                toks = _tokens(line)
-            for tok in toks:
+            for tok in _tokens(line):
                 try:
                     x = float(tok)
                 except ValueError:

@@ -2,8 +2,9 @@
 
 Every point runs the one-sided expanding scan on its own sorted distance
 series to pick a partner set (its local notion of "my cluster").  A
-resonance run then seeds one point and propagates firing along partner
-links; combining the runs of all seeds votes each point into a cluster.
+resonance run then seeds one point and fires everything reachable along
+partner links; the runs of all seeds, computed at once as one boolean
+reachability closure, vote each point into a cluster.
 
 Point ids are 1-based throughout this module, matching input file rows.
 """
@@ -146,43 +147,6 @@ def all_partner_sets(dm: DistanceMatrix,
 
 
 @dataclass(frozen=True)
-class ResonanceRun:
-    """One seeded propagation: who fired, whether the seed stayed silent."""
-
-    seed: int
-    fired: frozenset[int]
-    silent: bool
-
-
-def resonate(partner_sets: Mapping[int, PartnerSet], seed: int) -> ResonanceRun:
-    """Deterministic resonance closure from one seed.
-
-    The seed fires; repeatedly, every partner of a fired cell fires,
-    until nothing new fires.  The run is silent when no fired cell other
-    than the seed lists the seed among its own partners (no return
-    stimulus); a silent run reports fired = {seed}.
-    """
-    if seed not in partner_sets:
-        raise ValueError(f"unknown seed id {seed}")
-    fired = {seed}
-    frontier = {seed}
-    while frontier:
-        step = set()
-        for i in frontier:
-            step |= partner_sets[i].partners
-        step -= fired
-        if not step:
-            break
-        fired |= step
-        frontier = step
-    silent = not any(seed in partner_sets[i].partners
-                     for i in fired if i != seed)
-    if silent:
-        return ResonanceRun(seed=seed, fired=frozenset({seed}), silent=True)
-    return ResonanceRun(seed=seed, fired=frozenset(fired), silent=False)
-
-
-@dataclass(frozen=True)
 class ClusterSummary:
     """Per-cluster roll-up: members, how many reproduced it, who was silent."""
 
@@ -213,6 +177,10 @@ class ClusterPartition:
 def cluster_all(partner_sets: Mapping[int, PartnerSet]) -> ClusterPartition:
     """Combine the resonance runs of every seed into one partition.
 
+    A run seeded at s fires every point reachable from s along partner
+    links, so the runs of all seeds are the rows of one boolean
+    transitive closure.  A run is silent when no fired point other than
+    the seed lists the seed among its partners (self-links are ignored).
     Every non-silent run votes for its fired set; a point's label is the
     most frequent fired set among the runs that contain it, ties broken
     toward the set voted by the smallest seed id.
@@ -221,45 +189,64 @@ def cluster_all(partner_sets: Mapping[int, PartnerSet]) -> ClusterPartition:
     n = len(ids)
     if ids != list(range(1, n + 1)):
         raise ValueError("partner sets must cover ids 1..n")
+    sizes = [len(partner_sets[i].partners) for i in ids]
+    owners = np.repeat(np.arange(n), sizes)
+    partners = np.fromiter((j for i in ids for j in partner_sets[i].partners),
+                           dtype=np.intp, count=len(owners))
+    bad = (partners < 1) | (partners > n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"point {owners[k] + 1} lists partner id "
+                         f"{partners[k]} outside 1..{n}")
+    link = np.zeros((n, n), dtype=bool)
+    link[owners, partners - 1] = True
+    np.fill_diagonal(link, False)
 
-    runs = {seed: resonate(partner_sets, seed) for seed in ids}
-    silent_ids = frozenset(s for s, r in runs.items() if r.silent)
+    # Warshall: after pivot k, fired[i, j] holds when j is reachable from
+    # i through intermediate points among 0..k
+    fired = link.copy()
+    np.fill_diagonal(fired, True)
+    for k in range(n):
+        fired[fired[:, k]] |= fired[k]
+    silent = ~(fired & link.T).any(axis=1)
+    voters = np.flatnonzero(~silent)
 
-    votes: dict[frozenset[int], int] = {}
-    first_seed: dict[frozenset[int], int] = {}
-    for seed in ids:
-        run = runs[seed]
-        if run.silent:
-            continue
-        votes[run.fired] = votes.get(run.fired, 0) + 1
-        first_seed.setdefault(run.fired, seed)
+    # one signature per distinct fired row, compared as packed bytes
+    packed = np.packbits(fired, axis=1)
+    rows = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, votes = np.unique(rows[voters], return_index=True,
+                                return_counts=True)
+    first = voters[first]
+    # best signature first: most votes, then smallest first voter
+    sigs = first[np.lexsort((first, -votes))]
+    contains = fired[sigs]
+    assigned = np.flatnonzero(contains.any(axis=0))
+    winner = sigs[contains.argmax(axis=0)[assigned]] if sigs.size else sigs
 
-    winner: dict[int, frozenset[int]] = {}
-    for p in ids:
-        containing = [sig for sig in votes if p in sig]
-        if containing:
-            winner[p] = max(containing,
-                            key=lambda sig: (votes[sig], -first_seed[sig]))
-
-    groups: dict[frozenset[int], list[int]] = {}
-    for p, sig in winner.items():
-        groups.setdefault(sig, []).append(p)
-    ordered = sorted(groups.values(), key=min)
+    # clusters numbered by their smallest member
+    _, smallest, group = np.unique(winner, return_index=True,
+                                   return_inverse=True)
+    _, cluster_of = np.unique(smallest[group], return_inverse=True)
+    members_of = np.zeros((len(smallest), n), dtype=bool)
+    members_of[cluster_of, assigned] = True
+    member_rows = np.packbits(members_of, axis=1).view(rows.dtype).ravel()
+    # a silent seed is never right: its cluster holds the voters of the
+    # winning set, and a silent seed's closure cannot reach them
+    right = rows[assigned] == member_rows[cluster_of]
 
     labels: list[int | None] = [None] * n
     summaries = []
-    for cid, members in enumerate(ordered, start=1):
-        members = sorted(members)
+    silent_ids = frozenset((np.flatnonzero(silent) + 1).tolist())
+    for cid in range(len(smallest)):
+        in_cluster = cluster_of == cid
+        members = tuple((assigned[in_cluster] + 1).tolist())
         for p in members:
-            labels[p - 1] = cid
-        member_set = frozenset(members)
-        right = sum(1 for p in members
-                    if not runs[p].silent and runs[p].fired == member_set)
-        silent_members = tuple(p for p in members if p in silent_ids)
+            labels[p - 1] = cid + 1
+        right_count = int(right[in_cluster].sum())
         summaries.append(ClusterSummary(
-            cluster_id=cid, members=tuple(members), right_count=right,
-            silent_members=silent_members,
-            probability=right / len(members)))
+            cluster_id=cid + 1, members=members, right_count=right_count,
+            silent_members=tuple(p for p in members if p in silent_ids),
+            probability=right_count / len(members)))
     return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,
                             summary=tuple(summaries))
 

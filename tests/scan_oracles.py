@@ -1,13 +1,18 @@
-"""Reference implementations of the expanding scans, one Python loop each.
+"""Reference implementations of the expanding scans and of resonance
+clustering, one Python loop each.
 
 The package scores a whole gap sequence at once; these loops walk it gap
 by gap, keeping the running maximum by hand, and are what the property
-tests compare the package against, record for record.
+tests compare the package against, record for record.  Likewise the
+package clusters from one boolean reachability closure, while
+:func:`cluster_all_loop` runs one set-based resonance per seed and counts
+votes point by point.
 """
 import math
 from dataclasses import replace
 
-from gapsense import Detection, IirRecord, PartnerSet, iir_closed_form
+from gapsense import (ClusterPartition, ClusterSummary, Detection, IirRecord,
+                      PartnerSet, iir_closed_form)
 
 
 def _record(index, side, gap, max_prev, n, span, threshold):
@@ -196,3 +201,75 @@ def two_sided_oracle(values, c):
             members.insert(0, lo - 1)
         else:
             members.append(hi + 1)
+
+
+def resonate_loop(partner_sets, seed):
+    """Set-based resonance run from one seed: ``(fired, silent)``.
+
+    The seed fires; repeatedly, every partner of a fired cell fires,
+    until nothing new fires.  The run is silent when no fired cell other
+    than the seed lists the seed among its own partners (no return
+    stimulus); a silent run reports fired = {seed}.
+    """
+    fired = {seed}
+    frontier = {seed}
+    while frontier:
+        step = set()
+        for i in frontier:
+            step |= partner_sets[i].partners
+        step -= fired
+        if not step:
+            break
+        fired |= step
+        frontier = step
+    silent = not any(seed in partner_sets[i].partners
+                     for i in fired if i != seed)
+    if silent:
+        return frozenset({seed}), True
+    return frozenset(fired), False
+
+
+def cluster_all_loop(partner_sets):
+    """Seed-by-seed :func:`gapsense.cluster_all`: one resonance run per
+    seed, then per-point votes over every distinct fired set."""
+    ids = sorted(partner_sets)
+    n = len(ids)
+    runs = {seed: resonate_loop(partner_sets, seed) for seed in ids}
+    silent_ids = frozenset(s for s, (_, silent) in runs.items() if silent)
+
+    votes, first_seed = {}, {}
+    for seed in ids:
+        fired, silent = runs[seed]
+        if silent:
+            continue
+        votes[fired] = votes.get(fired, 0) + 1
+        first_seed.setdefault(fired, seed)
+
+    winner = {}
+    for p in ids:
+        containing = [sig for sig in votes if p in sig]
+        if containing:
+            winner[p] = max(containing,
+                            key=lambda sig: (votes[sig], -first_seed[sig]))
+
+    groups = {}
+    for p, sig in winner.items():
+        groups.setdefault(sig, []).append(p)
+    ordered = sorted(groups.values(), key=min)
+
+    labels = [None] * n
+    summaries = []
+    for cid, members in enumerate(ordered, start=1):
+        members = sorted(members)
+        for p in members:
+            labels[p - 1] = cid
+        member_set = frozenset(members)
+        right = sum(1 for p in members
+                    if not runs[p][1] and runs[p][0] == member_set)
+        silent_members = tuple(p for p in members if p in silent_ids)
+        summaries.append(ClusterSummary(
+            cluster_id=cid, members=tuple(members), right_count=right,
+            silent_members=silent_members,
+            probability=right / len(members)))
+    return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,
+                            summary=tuple(summaries))

@@ -95,6 +95,18 @@ def test_detect_overflowing_range_robust_methods_flag_extremes(
     assert "outliers: -1.7e+308, 1.7e+308" in out
 
 
+@pytest.mark.parametrize("method", ["mean", "chauvenet"])
+def test_detect_subnormal_spread_matches_scaled_data(capsys, tmp_path, method):
+    # the squared deviations underflow to 0 unless they are scaled first;
+    # the same data times 1e320 (0,0,0,1,1) flags nothing either
+    p = tmp_path / "tiny.txt"
+    p.write_text("0\n0\n0\n1e-320\n1e-320\n")
+    code, out, _ = run(capsys, "detect", "--input", str(p),
+                       "--method", method)
+    assert code == 0
+    assert "outliers: none" in out
+
+
 def test_detect_missing_file_is_data_error(capsys):
     code, _, err = run(capsys, "detect", "--input", "/does/not/exist.txt")
     assert code == 3
@@ -155,6 +167,15 @@ def test_simulate_env_seed(capsys, monkeypatch):
                          "--sizes", "10,20", "--reps", "2", "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("scenario", ["custom", "fig1a", "fig1b"])
+def test_simulate_sizes_outside_fig1c_is_usage_error(capsys, scenario):
+    code, out, err = run(capsys, "simulate", "--scenario", scenario,
+                         "--sizes", "10,20", "--reps", "1")
+    assert code == 2
+    assert out == ""
+    assert "--sizes" in err
 
 
 def test_simulate_bad_env_seed(capsys, monkeypatch):

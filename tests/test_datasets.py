@@ -99,15 +99,13 @@ def test_load_univariate_empty_file(tmp_path):
         load_univariate(p)
 
 
-def test_load_univariate_explicit_formats(tmp_path):
+def test_load_univariate_whitespace_and_csv_files(tmp_path):
     p = tmp_path / "ws.txt"
     p.write_text("1 2 3\n4 5\n")
-    assert load_univariate(p, format="whitespace").n == 5
+    assert load_univariate(p).values == (1, 2, 3, 4, 5)
     q = tmp_path / "c.csv"
     q.write_text("1,2\n3\n")
-    assert load_univariate(q, format="csv").n == 3
-    with pytest.raises(ValueError):
-        load_univariate(p, format="tsv")
+    assert load_univariate(q).values == (1, 2, 3)
 
 
 def test_load_points2d(tmp_path):

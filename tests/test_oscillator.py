@@ -7,9 +7,8 @@ import pytest
 
 from gapsense import (DistanceMatrix, PartnerSet, PointSet, Sensitivity,
                       all_partner_sets, builtin_dataset, cluster_all,
-                      cluster_points, pairwise_distances, partner_set,
-                      resonate)
-from scan_oracles import partner_set_loop
+                      cluster_points, pairwise_distances, partner_set)
+from scan_oracles import cluster_all_loop, partner_set_loop, resonate_loop
 
 SENS = Sensitivity.from_threshold(1.81)
 
@@ -134,23 +133,28 @@ def mk_partner_sets(d):
 
 
 def test_resonate_mutual_pair():
-    ps = mk_partner_sets({1: {2}, 2: {1}})
-    run = resonate(ps, 1)
-    assert run.fired == {1, 2}
-    assert not run.silent
+    part = cluster_all(mk_partner_sets({1: {2}, 2: {1}}))
+    assert part.labels == (1, 1)
+    assert not part.silent_ids
+    assert part.summary[0].members == (1, 2)
+    assert part.summary[0].right_count == 2
 
 
 def test_resonate_chain_without_return_is_silent():
-    ps = mk_partner_sets({1: {2}, 2: {3}, 3: {2}})
-    run = resonate(ps, 1)
-    assert run.silent
-    assert run.fired == {1}
+    # 1 fires 2 and 3, but neither lists 1: seed 1 gets no return stimulus
+    part = cluster_all(mk_partner_sets({1: {2}, 2: {3}, 3: {2}}))
+    assert part.silent_ids == {1}
+    assert part.labels == (None, 1, 1)
+    assert part.summary[0].members == (2, 3)
 
 
-def test_resonate_unknown_seed():
-    ps = mk_partner_sets({1: {2}, 2: {1}})
-    with pytest.raises(ValueError):
-        resonate(ps, 9)
+def test_self_links_are_ignored():
+    # 1 listing itself is no return stimulus: seed 1 stays silent
+    ps = mk_partner_sets({1: {1, 2}, 2: {3}, 3: {2}})
+    part = cluster_all(ps)
+    assert part.silent_ids == {1}
+    assert part.labels == (None, 1, 1)
+    assert part == cluster_all_loop(ps)
 
 
 def test_resonate_order_independence():
@@ -159,7 +163,6 @@ def test_resonate_order_independence():
     ids = list(range(1, 13))
     graph = {i: set(rng.sample([j for j in ids if j != i], rng.randint(1, 4)))
              for i in ids}
-    ps = mk_partner_sets(graph)
 
     def slow_closure(seed):
         fired = {seed}
@@ -174,13 +177,18 @@ def test_resonate_order_independence():
         silent = not any(seed in graph[i] for i in fired if i != seed)
         return ({seed} if silent else fired), silent
 
-    for seed in ids:
-        run = resonate(ps, seed)
-        fired, silent = slow_closure(seed)
-        assert run.fired == fired and run.silent == silent
+    runs = {seed: slow_closure(seed) for seed in ids}
+    part = cluster_all(mk_partner_sets(graph))
+    assert part.silent_ids == {s for s in ids if runs[s][1]}
+    for s in part.summary:
+        right = [p for p in s.members
+                 if not runs[p][1] and runs[p][0] == set(s.members)]
+        assert s.right_count == len(right)
 
 
 def test_resonate_relabeling_equivariance():
+    # votes tie-break toward the smallest seed id, so only the silent seeds
+    # and the set of points some non-silent run fires are label-free
     rng = random.Random(11)
     ids = list(range(1, 10))
     graph = {i: set(rng.sample([j for j in ids if j != i], 2)) for i in ids}
@@ -188,19 +196,48 @@ def test_resonate_relabeling_equivariance():
     rng.shuffle(perm)
     mapping = dict(zip(ids, perm))
     relabeled = {mapping[i]: {mapping[j] for j in graph[i]} for i in ids}
-    for seed in ids:
-        a = resonate(mk_partner_sets(graph), seed)
-        b = resonate(mk_partner_sets(relabeled), mapping[seed])
-        assert {mapping[x] for x in a.fired} == b.fired
-        assert a.silent == b.silent
+    a = cluster_all(mk_partner_sets(graph))
+    b = cluster_all(mk_partner_sets(relabeled))
+    assert {mapping[s] for s in a.silent_ids} == b.silent_ids
+    assert {mapping[p] for p in ids if a.labels[p - 1] is not None} == \
+        {p for p in ids if b.labels[p - 1] is not None}
 
 
 def test_ruspini_seed_61_fires_bottom_group():
     rus = builtin_dataset("ruspini")
     sets = all_partner_sets(pairwise_distances(rus), SENS, 3)
-    run = resonate(sets, 61)
-    assert run.fired == set(range(61, 76))
-    assert not run.silent
+    assert resonate_loop(sets, 61) == (frozenset(range(61, 76)), False)
+
+
+def random_partner_graph(rng, n):
+    """Partner ids drawn at one density, with empty sets and self-links;
+    every fifth graph links only upward, so every seed is silent."""
+    density = rng.random()
+    upward = rng.random() < 0.2
+    graph = {}
+    for i in range(1, n + 1):
+        pool = range(i + 1, n + 1) if upward else range(1, n + 1)
+        graph[i] = {j for j in pool if rng.random() < density
+                    and (j != i or rng.random() < 0.3)}
+        if rng.random() < 0.1:
+            graph[i] = set()
+    return mk_partner_sets(graph)
+
+
+def test_cluster_all_equals_reference_loop():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        ps = random_partner_graph(rng, rng.randint(1, 25))
+        assert cluster_all(ps) == cluster_all_loop(ps), ps
+    gen = np.random.default_rng(20261018)
+    for n in (60, 90, 120):
+        blobs = np.repeat([[0, 0], [25, 0], [0, 25]], n // 3, axis=0)
+        for pts in (blobs + gen.normal(0, 1, blobs.shape),
+                    gen.random((n, 2))):
+            dm = pairwise_distances(PointSet.from_iterable(pts.tolist()))
+            for mp in (1, 3, 5):
+                ps = all_partner_sets(dm, SENS, mp)
+                assert cluster_all(ps) == cluster_all_loop(ps), (n, mp)
 
 
 # --- combine clustering ------------------------------------------------------------
@@ -281,13 +318,21 @@ def test_cluster_all_validates_ids():
     sets = all_partner_sets(pairwise_distances(pts), SENS, 3)
     with pytest.raises(ValueError):
         cluster_all({k: v for k, v in sets.items() if k != 1})
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match="outside 1..8"):
+            cluster_all({**sets, 2: PartnerSet(2, frozenset({1, bad}),
+                                               math.inf)})
 
 
 def test_nonsilent_seed_in_own_fired_set():
     rus = builtin_dataset("ruspini")
     sets = all_partner_sets(pairwise_distances(rus), SENS, 3)
+    part = cluster_all(sets)
     for seed in range(1, 76):
-        run = resonate(sets, seed)
-        assert seed in run.fired
-        if not run.silent:
-            assert len(run.fired) >= 2
+        fired, silent = resonate_loop(sets, seed)
+        assert seed in fired
+        assert silent == (seed in part.silent_ids)
+        if not silent:
+            assert len(fired) >= 2
+            # its own run votes for a set holding it, so it gets a label
+            assert part.labels[seed - 1] is not None
