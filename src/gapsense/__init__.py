@@ -17,9 +17,9 @@ from .expanding import (DEFAULT_SENSITIVITY, DEFAULT_THRESHOLD, Detection,
                         IirRecord, Sensitivity, detect_high_side,
                         detect_two_sided, iir_closed_form,
                         threshold_to_weber, weber_to_threshold)
-from .oscillator import (ClusterPartition, ClusterSummary, DistanceMatrix,
-                         PartnerSet, PointSet, all_partner_sets, cluster_all,
-                         cluster_points, pairwise_distances, partner_set)
+from .oscillator import (ClusterPartition, ClusterSummary, PointSet,
+                         cluster_all, cluster_points, pairwise_distances,
+                         partner_links)
 from .samples import GapSeries, Sample, gap_series
 from .simulate import (CurvePoint, SimScenario, breakdown_curve,
                        contaminated_sample, contamination_sweep,
@@ -35,9 +35,8 @@ __all__ = [
     "DEFAULT_SENSITIVITY", "DEFAULT_THRESHOLD", "Detection", "IirRecord",
     "Sensitivity", "detect_high_side", "detect_two_sided", "iir_closed_form",
     "threshold_to_weber", "weber_to_threshold",
-    "ClusterPartition", "ClusterSummary", "DistanceMatrix", "PartnerSet",
-    "PointSet", "all_partner_sets", "cluster_all", "cluster_points",
-    "pairwise_distances", "partner_set",
+    "ClusterPartition", "ClusterSummary", "PointSet", "cluster_all",
+    "cluster_points", "pairwise_distances", "partner_links",
     "GapSeries", "Sample", "gap_series",
     "CurvePoint", "SimScenario", "breakdown_curve", "contaminated_sample",
     "contamination_sweep", "polar_normals", "pure_normal_curve",

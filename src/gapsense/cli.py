@@ -17,7 +17,7 @@ from .baselines import METHODS, run_method
 from .datasets import (CatalogError, DataFormatError, TABLE_DATASETS,
                        builtin_dataset, load_points2d, load_univariate)
 from .expanding import DEFAULT_THRESHOLD, Detection, Sensitivity
-from .oscillator import PointSet, all_partner_sets, cluster_all, pairwise_distances
+from .oscillator import PointSet, cluster_points
 from .samples import Sample
 from .serialize import (curves_to_csv, curves_to_dicts, detection_to_csv,
                         detection_to_dict, partition_to_csv, partition_to_dict,
@@ -177,14 +177,7 @@ def cmd_cluster(args) -> int:
             raise UsageError(f"dataset {args.dataset!r} is not a point set")
     else:
         data = load_points2d(args.input)
-    if args.min_partners < 1:
-        raise UsageError("--min-partners must be at least 1")
-    if data.n < args.min_partners + 1:
-        raise UsageError(f"{data.n} points cannot support "
-                         f"--min-partners {args.min_partners}")
-    sens = _sensitivity(args)
-    part = cluster_all(all_partner_sets(pairwise_distances(data), sens,
-                                        args.min_partners))
+    part = cluster_points(data, _sensitivity(args), args.min_partners)
     if args.format == "json":
         _emit(to_json(partition_to_dict(part)), args.output)
         return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,99 +51,62 @@ class PointSet:
         return len(self.points[0])
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric Euclidean distances with a zero diagonal."""
-
-    dist: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-    def row(self, i: int) -> np.ndarray:
-        """Distances from point id i (1-based) to every point."""
-        return self.dist[i - 1]
-
-
-def pairwise_distances(points: PointSet) -> DistanceMatrix:
+def pairwise_distances(points: PointSet) -> np.ndarray:
     """Euclidean distance matrix; symmetry is exact by construction.
 
-    For another metric, build a :class:`DistanceMatrix` directly and pass
-    it to :func:`all_partner_sets`.  A distance that overflows stays
-    infinite, and the partner-set scan rejects it with OverflowError.
+    For another metric, pass any square matrix with a zero diagonal to
+    :func:`partner_links`.  A distance that overflows stays infinite, and
+    the partner scan rejects it with OverflowError.
     """
     arr = np.asarray(points.points, dtype=float)
     n = arr.shape[0]
     dist = np.zeros((n, n))
+    d = np.empty((n, n))
     with np.errstate(over="ignore"):
-        for i in range(n):
-            d = np.sqrt(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1))
-            dist[i, i + 1:] = d
-            dist[i + 1:, i] = d
-    return DistanceMatrix(dist=dist)
+        for x in arr.T:
+            np.subtract(x[:, None], x, out=d)
+            d *= d
+            dist += d
+    return np.sqrt(dist, out=dist)
 
 
-@dataclass(frozen=True)
-class PartnerSet:
-    """The neighbors a point accepts as consistent with itself.
+def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
+                  min_partners: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's partners, by the expanding scan over its distances.
 
-    ``radius`` is the distance at the rejecting gap; partners are exactly
-    the points strictly nearer.  ``radius`` is infinite when the scan
-    found no border (then every other point is a partner).
-    """
-
-    owner: int
-    partners: frozenset[int]
-    radius: float
-
-
-def partner_set(dm: DistanceMatrix, i: int,
-                sens: Sensitivity = DEFAULT_SENSITIVITY,
-                min_partners: int = 3) -> PartnerSet:
-    """Expanding scan over point i's augmented distance series.
-
-    The series starts at the point itself (distance 0) followed by its
-    sorted distances to the others, so the nearest-neighbor distance is
+    Row i of ``dist`` sorted is point i's series: its own distance 0,
+    then its distances to the others, so the nearest-neighbor distance is
     itself a candidate gap.  The border is the first gap index
-    t >= min_partners + 1 whose score reaches the threshold; owners of
-    the distances before it are the partners.  No border (including the
-    all-distances-equal degenerate case) means every other point is a
-    partner.
+    t >= min_partners + 1 whose score reaches the threshold, and
+    ``radius[i]`` is the distance there.  No border (including the
+    all-distances-equal degenerate case) leaves ``radius[i]`` infinite.
+    Returns ``(link, radius)``: ``link[i, j]`` holds when point j is a
+    partner of point i, that is nearer than ``radius[i]`` (never i itself).
     """
-    n = dm.n
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"distance matrix must be square, got {dist.shape}")
+    n = dist.shape[0]
     if min_partners < 1:
         raise ValueError("min_partners must be at least 1")
     if n < min_partners + 1:
         raise ValueError(f"need at least {min_partners + 1} points for "
                          f"min_partners={min_partners}, got {n}")
-    if not 1 <= i <= n:
-        raise ValueError(f"point id {i} outside 1..{n}")
-    row = dm.row(i)
-    everyone = frozenset(range(1, n + 1)) - {i}
-    series = np.concatenate(([0.0], np.sort(np.delete(row, i - 1))))
-    span = float(series[-1])
-    if span <= 0.0:
-        return PartnerSet(owner=i, partners=everyone, radius=math.inf)
-    # gap t (2..n-1) is d[t-1]; the nearest-neighbor gap seeds the maximum
-    d = _gaps(series)
-    border, _, _ = _first_border(d[1:], d[0], n, span, sens.threshold_c,
-                                 first=min_partners - 1)
-    if border is None:
-        return PartnerSet(owner=i, partners=everyone, radius=math.inf)
-    radius = float(series[border + 2])
-    near = row < radius
-    near[i - 1] = False
-    return PartnerSet(owner=i, radius=radius,
-                      partners=frozenset((np.flatnonzero(near) + 1).tolist()))
-
-
-def all_partner_sets(dm: DistanceMatrix,
-                     sens: Sensitivity = DEFAULT_SENSITIVITY,
-                     min_partners: int = 3) -> dict[int, PartnerSet]:
-    """Partner sets for every point id."""
-    return {i: partner_set(dm, i, sens, min_partners)
-            for i in range(1, dm.n + 1)}
+    radius = np.full(n, math.inf)
+    for i, row in enumerate(dist):
+        series = np.sort(row)
+        span = series[-1]
+        if span <= 0.0:
+            continue
+        # gap t (2..n-1) is d[t-1]; the nearest-neighbor gap seeds the maximum
+        d = _gaps(series)
+        border, _, _ = _first_border(d[1:], d[0], n, span, sens.threshold_c,
+                                     first=min_partners - 1)
+        if border is not None:
+            radius[i] = series[border + 2]
+    link = dist < radius[:, None]
+    np.fill_diagonal(link, False)
+    return link, radius
 
 
 @dataclass(frozen=True)
@@ -165,61 +128,50 @@ class ClusterPartition:
     silent_ids: frozenset[int]
     summary: tuple[ClusterSummary, ...]
 
-    def members(self, cluster_id: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, lab in enumerate(self.labels)
-                     if lab == cluster_id)
-
     @property
     def n_clusters(self) -> int:
         return len(self.summary)
 
 
-def cluster_all(partner_sets: Mapping[int, PartnerSet]) -> ClusterPartition:
+def cluster_all(link: np.ndarray) -> ClusterPartition:
     """Combine the resonance runs of every seed into one partition.
 
-    A run seeded at s fires every point reachable from s along partner
-    links, so the runs of all seeds are the rows of one boolean
-    transitive closure.  A run is silent when no fired point other than
-    the seed lists the seed among its partners (self-links are ignored).
-    Every non-silent run votes for its fired set; a point's label is the
-    most frequent fired set among the runs that contain it, ties broken
-    toward the set voted by the smallest seed id.
+    ``link[i, j]`` holds when point j+1 is a partner of point i+1 (the
+    diagonal is ignored).  A run seeded at s fires every point reachable
+    from s along partner links, so the runs of all seeds are the rows of
+    one boolean transitive closure, kept as rows packed 8 points to a
+    byte (n²/8 bytes).  A run is silent when no fired point other than
+    the seed lists the seed among its partners.  Every non-silent run
+    votes for its fired set; a point's label is the most frequent fired
+    set among the runs that contain it, ties broken toward the set voted
+    by the smallest seed id.
     """
-    ids = sorted(partner_sets)
-    n = len(ids)
-    if ids != list(range(1, n + 1)):
-        raise ValueError("partner sets must cover ids 1..n")
-    sizes = [len(partner_sets[i].partners) for i in ids]
-    owners = np.repeat(np.arange(n), sizes)
-    partners = np.fromiter((j for i in ids for j in partner_sets[i].partners),
-                           dtype=np.intp, count=len(owners))
-    bad = (partners < 1) | (partners > n)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"point {owners[k] + 1} lists partner id "
-                         f"{partners[k]} outside 1..{n}")
-    link = np.zeros((n, n), dtype=bool)
-    link[owners, partners - 1] = True
-    np.fill_diagonal(link, False)
+    link = np.asarray(link, dtype=bool)
+    if link.ndim != 2 or link.shape[0] != link.shape[1]:
+        raise ValueError(f"link matrix must be square, got {link.shape}")
+    n = link.shape[0]
+    ids = np.arange(n)
+    bit = (0x80 >> (ids & 7)).astype(np.uint8)  # bit k is in byte k >> 3
 
-    # Warshall: after pivot k, fired[i, j] holds when j is reachable from
-    # i through intermediate points among 0..k
-    fired = link.copy()
-    np.fill_diagonal(fired, True)
+    # Warshall, self-links dropped: after pivot k, fired[i, j] holds when
+    # a path of links leads from i to j through points among 0..k
+    fired = np.packbits(link, axis=1)
+    fired[ids, ids >> 3] &= ~bit
     for k in range(n):
-        fired[fired[:, k]] |= fired[k]
-    silent = ~(fired & link.T).any(axis=1)
+        fired[(fired[:, k >> 3] & bit[k]) != 0] |= fired[k]
+    # seed s is silent when no path leads back to it; otherwise its run
+    # fires s itself, as the resonance run does
+    silent = (fired[ids, ids >> 3] & bit) == 0
     voters = np.flatnonzero(~silent)
 
     # one signature per distinct fired row, compared as packed bytes
-    packed = np.packbits(fired, axis=1)
-    rows = packed.view(f"V{packed.shape[1]}").ravel()
+    rows = fired.view(f"V{fired.shape[1]}").ravel()
     _, first, votes = np.unique(rows[voters], return_index=True,
                                 return_counts=True)
     first = voters[first]
     # best signature first: most votes, then smallest first voter
     sigs = first[np.lexsort((first, -votes))]
-    contains = fired[sigs]
+    contains = np.unpackbits(fired[sigs], axis=1, count=n)
     assigned = np.flatnonzero(contains.any(axis=0))
     winner = sigs[contains.argmax(axis=0)[assigned]] if sigs.size else sigs
 
@@ -230,8 +182,7 @@ def cluster_all(partner_sets: Mapping[int, PartnerSet]) -> ClusterPartition:
     members_of = np.zeros((len(smallest), n), dtype=bool)
     members_of[cluster_of, assigned] = True
     member_rows = np.packbits(members_of, axis=1).view(rows.dtype).ravel()
-    # a silent seed is never right: its cluster holds the voters of the
-    # winning set, and a silent seed's closure cannot reach them
+    # a silent seed is never right: its fired row lacks its own bit
     right = rows[assigned] == member_rows[cluster_of]
 
     labels: list[int | None] = [None] * n
@@ -254,6 +205,6 @@ def cluster_all(partner_sets: Mapping[int, PartnerSet]) -> ClusterPartition:
 def cluster_points(points: PointSet,
                    sens: Sensitivity = DEFAULT_SENSITIVITY,
                    min_partners: int = 3) -> ClusterPartition:
-    """Convenience pipeline: distances, partner sets, combined resonance."""
-    dm = pairwise_distances(points)
-    return cluster_all(all_partner_sets(dm, sens, min_partners))
+    """Convenience pipeline: distances, partner links, combined resonance."""
+    link, _ = partner_links(pairwise_distances(points), sens, min_partners)
+    return cluster_all(link)

@@ -9,10 +9,19 @@ package clusters from one boolean reachability closure, while
 votes point by point.
 """
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from gapsense import (ClusterPartition, ClusterSummary, Detection, IirRecord,
-                      PartnerSet, iir_closed_form)
+                      iir_closed_form)
+
+
+@dataclass(frozen=True)
+class PartnerSet:
+    """One point's partners (1-based ids) and the radius that bounds them."""
+
+    owner: int
+    partners: frozenset[int]
+    radius: float
 
 
 def _record(index, side, gap, max_prev, n, span, threshold):
@@ -129,10 +138,11 @@ def two_sided_loop(sample, sens):
                      trace=tuple(trace), border=border)
 
 
-def partner_set_loop(dm, i, sens, min_partners):
-    """Gap-by-gap :func:`gapsense.partner_set` (arguments already valid)."""
-    n = dm.n
-    row = dm.row(i)
+def partner_set_loop(dist, i, sens, min_partners):
+    """Gap-by-gap partner scan of point id i, the row ``i - 1`` of
+    :func:`gapsense.partner_links` (arguments already valid)."""
+    n = len(dist)
+    row = dist[i - 1]
     order = sorted(j + 1 for j in range(n) if j + 1 != i)
     order.sort(key=lambda j: row[j - 1])
     series = [0.0] + [float(row[j - 1]) for j in order]

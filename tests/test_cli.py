@@ -240,8 +240,8 @@ def test_cluster_overflowing_distances_is_data_error(capsys, tmp_path):
                          "--min-partners", "1")
     assert code == 3
     assert out == ""
-    assert err.startswith("gapsense: error: numeric overflow: ")
-    assert "Traceback" not in err
+    assert err == "gapsense: error: numeric overflow: span must be finite, " \
+                  "got inf\n"
 
 
 def test_cluster_malformed_file(capsys, tmp_path):
@@ -259,6 +259,10 @@ def test_cluster_univariate_dataset_rejected(capsys):
 def test_cluster_too_few_points_for_floor(capsys, tmp_path):
     p = tmp_path / "tiny.csv"
     p.write_text("0,0\n1,1\n2,2\n")
-    code, _, err = run(capsys, "cluster", "--input", str(p),
-                       "--min-partners", "3")
-    assert code == 2
+    for floor in ("3", "0"):
+        code, out, err = run(capsys, "cluster", "--input", str(p),
+                             "--min-partners", floor)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gapsense: error: ")
+        assert err.count("\n") == 1

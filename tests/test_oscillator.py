@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from gapsense import (DistanceMatrix, PartnerSet, PointSet, Sensitivity,
-                      all_partner_sets, builtin_dataset, cluster_all,
-                      cluster_points, pairwise_distances, partner_set)
-from scan_oracles import cluster_all_loop, partner_set_loop, resonate_loop
+from gapsense import (PointSet, Sensitivity, builtin_dataset, cluster_all,
+                      cluster_points, pairwise_distances, partner_links)
+from scan_oracles import (PartnerSet, cluster_all_loop, partner_set_loop,
+                          resonate_loop)
 
 SENS = Sensitivity.from_threshold(1.81)
 
@@ -17,25 +17,37 @@ def collinear(*xs):
     return PointSet.from_iterable([(x, 0.0) for x in xs])
 
 
+def partners_of(link, i):
+    """Partner ids of point id i."""
+    return set((np.flatnonzero(link[i - 1]) + 1).tolist())
+
+
+def as_partner_sets(link, radius):
+    """The oracles' per-point records of a ``partner_links`` result."""
+    return {i: PartnerSet(i, frozenset(partners_of(link, i)),
+                          float(radius[i - 1]))
+            for i in range(1, len(link) + 1)}
+
+
 # --- distances ---------------------------------------------------------------
 
 def test_distance_345():
-    dm = pairwise_distances(PointSet.from_iterable([(0, 0), (3, 4)]))
-    assert dm.dist[0, 1] == 5.0
-    assert dm.dist[1, 0] == 5.0
+    dist = pairwise_distances(PointSet.from_iterable([(0, 0), (3, 4)]))
+    assert dist[0, 1] == 5.0
+    assert dist[1, 0] == 5.0
 
 
 def test_distance_diagonal_and_symmetry():
     rng = random.Random(1)
     pts = PointSet.from_iterable([(rng.uniform(-5, 5), rng.uniform(-5, 5))
                                   for _ in range(10)])
-    dm = pairwise_distances(pts)
+    dist = pairwise_distances(pts)
     for i in range(10):
-        assert dm.dist[i, i] == 0.0
+        assert dist[i, i] == 0.0
         for j in range(10):
             brute = math.dist(pts.points[i], pts.points[j])
-            assert dm.dist[i, j] == pytest.approx(brute, rel=1e-12)
-            assert dm.dist[i, j] == dm.dist[j, i]  # exact
+            assert dist[i, j] == pytest.approx(brute, rel=1e-12)
+            assert dist[i, j] == dist[j, i]  # exact
 
 
 def test_pointset_validation():
@@ -51,17 +63,18 @@ def test_pointset_validation():
 
 def test_partner_minimum_size_guard():
     # 3 neighbors and min_partners=3: no gap index can be a border
-    dm = pairwise_distances(collinear(0, 1, 2, 100))
-    ps = partner_set(dm, 1, SENS, min_partners=3)
-    assert ps.partners == {2, 3, 4}
-    assert ps.radius == math.inf
+    link, radius = partner_links(pairwise_distances(collinear(0, 1, 2, 100)),
+                                 SENS, min_partners=3)
+    assert partners_of(link, 1) == {2, 3, 4}
+    assert radius[0] == math.inf
 
 
 def test_partner_border_on_line():
-    dm = pairwise_distances(collinear(0, 1, 2, 3, 50, 51, 52))
-    ps = partner_set(dm, 1, SENS, min_partners=3)
-    assert ps.partners == {2, 3, 4}
-    assert ps.radius == 50.0
+    link, radius = partner_links(
+        pairwise_distances(collinear(0, 1, 2, 3, 50, 51, 52)), SENS,
+        min_partners=3)
+    assert partners_of(link, 1) == {2, 3, 4}
+    assert radius[0] == 50.0
     # the rejecting gap scores (n-1) * (gap - max_prev) / span
     assert 6 * (47 - 1) / 52 >= 1.81
 
@@ -69,29 +82,29 @@ def test_partner_border_on_line():
 def test_partner_degenerate_equidistant():
     pts = PointSet.from_iterable([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2),
                                   (0.5, math.sqrt(3) / 6)])
-    dm = pairwise_distances(pts)
-    ps = partner_set(dm, 1, SENS, min_partners=1)
-    assert len(ps.partners) == 3 or len(ps.partners) >= 1
+    link, radius = partner_links(pairwise_distances(pts), SENS,
+                                 min_partners=1)
+    # no point finds a border, so each takes every other point
+    assert (link == ~np.eye(4, dtype=bool)).all()
+    assert (radius == math.inf).all()
 
 
 def test_partner_all_same_point():
     pts = PointSet.from_iterable([(1, 1)] * 5)
-    dm = pairwise_distances(pts)
-    ps = partner_set(dm, 2, SENS, min_partners=3)
-    assert ps.partners == {1, 3, 4, 5}
-    assert ps.radius == math.inf
+    link, radius = partner_links(pairwise_distances(pts), SENS,
+                                 min_partners=3)
+    assert partners_of(link, 2) == {1, 3, 4, 5}
+    assert radius[1] == math.inf
 
 
 def test_partner_validation():
-    dm = pairwise_distances(collinear(0, 1, 2, 3))
+    dist = pairwise_distances(collinear(0, 1, 2, 3))
     with pytest.raises(ValueError):
-        partner_set(dm, 0, SENS)
+        partner_links(dist, SENS, min_partners=4)
     with pytest.raises(ValueError):
-        partner_set(dm, 5, SENS)
-    with pytest.raises(ValueError):
-        partner_set(dm, 1, SENS, min_partners=4)
-    with pytest.raises(ValueError):
-        partner_set(dm, 1, SENS, min_partners=0)
+        partner_links(dist, SENS, min_partners=0)
+    with pytest.raises(ValueError, match="must be square"):
+        partner_links(dist[:3], SENS, min_partners=1)
 
 
 def test_partner_sets_equal_reference_loop():
@@ -105,35 +118,43 @@ def test_partner_sets_equal_reference_loop():
         if trial % 5 == 0:
             # a custom metric enters as a precomputed matrix (Manhattan here)
             arr = np.asarray(pts, dtype=float)
-            dm = DistanceMatrix(
-                np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2))
+            dist = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
         else:
-            dm = pairwise_distances(PointSet.from_iterable(pts))
+            dist = pairwise_distances(PointSet.from_iterable(pts))
         sens = Sensitivity.from_threshold(
             rng.choice((0.0, 0.5, 1.1, 1.81, 1.96, 2.0)))
         mp = rng.randint(1, min(5, n - 1))
-        for i in range(1, n + 1):
-            assert partner_set(dm, i, sens, mp) == \
-                partner_set_loop(dm, i, sens, mp), (pts, sens, mp, i)
+        link, radius = partner_links(dist, sens, mp)
+        assert as_partner_sets(link, radius) == \
+            {i: partner_set_loop(dist, i, sens, mp) for i in range(1, n + 1)}, \
+            (pts, sens, mp)
 
 
 def test_ruspini_point_70_partners_stay_in_bottom_group():
     rus = builtin_dataset("ruspini")
-    dm = pairwise_distances(rus)
-    ps = partner_set(dm, 70, SENS, min_partners=3)
-    assert ps.partners <= set(range(61, 76))
+    link, _ = partner_links(pairwise_distances(rus), SENS, min_partners=3)
+    assert partners_of(link, 70) <= set(range(61, 76))
 
 
 # --- resonance ------------------------------------------------------------------
 
-def mk_partner_sets(d):
+def mk_link(graph):
+    """Link matrix of a graph given as {id: partner ids} over ids 1..n."""
+    n = len(graph)
+    link = np.zeros((n, n), dtype=bool)
+    for i, partners in graph.items():
+        link[i - 1, [j - 1 for j in partners]] = True
+    return link
+
+
+def mk_partner_sets(graph):
     return {owner: PartnerSet(owner=owner, partners=frozenset(partners),
                               radius=math.inf)
-            for owner, partners in d.items()}
+            for owner, partners in graph.items()}
 
 
 def test_resonate_mutual_pair():
-    part = cluster_all(mk_partner_sets({1: {2}, 2: {1}}))
+    part = cluster_all(mk_link({1: {2}, 2: {1}}))
     assert part.labels == (1, 1)
     assert not part.silent_ids
     assert part.summary[0].members == (1, 2)
@@ -142,7 +163,7 @@ def test_resonate_mutual_pair():
 
 def test_resonate_chain_without_return_is_silent():
     # 1 fires 2 and 3, but neither lists 1: seed 1 gets no return stimulus
-    part = cluster_all(mk_partner_sets({1: {2}, 2: {3}, 3: {2}}))
+    part = cluster_all(mk_link({1: {2}, 2: {3}, 3: {2}}))
     assert part.silent_ids == {1}
     assert part.labels == (None, 1, 1)
     assert part.summary[0].members == (2, 3)
@@ -150,11 +171,11 @@ def test_resonate_chain_without_return_is_silent():
 
 def test_self_links_are_ignored():
     # 1 listing itself is no return stimulus: seed 1 stays silent
-    ps = mk_partner_sets({1: {1, 2}, 2: {3}, 3: {2}})
-    part = cluster_all(ps)
+    graph = {1: {1, 2}, 2: {3}, 3: {2}}
+    part = cluster_all(mk_link(graph))
     assert part.silent_ids == {1}
     assert part.labels == (None, 1, 1)
-    assert part == cluster_all_loop(ps)
+    assert part == cluster_all_loop(mk_partner_sets(graph))
 
 
 def test_resonate_order_independence():
@@ -178,7 +199,7 @@ def test_resonate_order_independence():
         return ({seed} if silent else fired), silent
 
     runs = {seed: slow_closure(seed) for seed in ids}
-    part = cluster_all(mk_partner_sets(graph))
+    part = cluster_all(mk_link(graph))
     assert part.silent_ids == {s for s in ids if runs[s][1]}
     for s in part.summary:
         right = [p for p in s.members
@@ -196,8 +217,8 @@ def test_resonate_relabeling_equivariance():
     rng.shuffle(perm)
     mapping = dict(zip(ids, perm))
     relabeled = {mapping[i]: {mapping[j] for j in graph[i]} for i in ids}
-    a = cluster_all(mk_partner_sets(graph))
-    b = cluster_all(mk_partner_sets(relabeled))
+    a = cluster_all(mk_link(graph))
+    b = cluster_all(mk_link(relabeled))
     assert {mapping[s] for s in a.silent_ids} == b.silent_ids
     assert {mapping[p] for p in ids if a.labels[p - 1] is not None} == \
         {p for p in ids if b.labels[p - 1] is not None}
@@ -205,7 +226,7 @@ def test_resonate_relabeling_equivariance():
 
 def test_ruspini_seed_61_fires_bottom_group():
     rus = builtin_dataset("ruspini")
-    sets = all_partner_sets(pairwise_distances(rus), SENS, 3)
+    sets = as_partner_sets(*partner_links(pairwise_distances(rus), SENS, 3))
     assert resonate_loop(sets, 61) == (frozenset(range(61, 76)), False)
 
 
@@ -221,23 +242,26 @@ def random_partner_graph(rng, n):
                     and (j != i or rng.random() < 0.3)}
         if rng.random() < 0.1:
             graph[i] = set()
-    return mk_partner_sets(graph)
+    return graph
 
 
 def test_cluster_all_equals_reference_loop():
+    # n 1-25 puts the last point on every bit of the last packed byte
     rng = random.Random(20261018)
     for _ in range(2000):
-        ps = random_partner_graph(rng, rng.randint(1, 25))
-        assert cluster_all(ps) == cluster_all_loop(ps), ps
+        graph = random_partner_graph(rng, rng.randint(1, 25))
+        assert cluster_all(mk_link(graph)) == \
+            cluster_all_loop(mk_partner_sets(graph)), graph
     gen = np.random.default_rng(20261018)
     for n in (60, 90, 120):
         blobs = np.repeat([[0, 0], [25, 0], [0, 25]], n // 3, axis=0)
         for pts in (blobs + gen.normal(0, 1, blobs.shape),
                     gen.random((n, 2))):
-            dm = pairwise_distances(PointSet.from_iterable(pts.tolist()))
+            dist = pairwise_distances(PointSet.from_iterable(pts.tolist()))
             for mp in (1, 3, 5):
-                ps = all_partner_sets(dm, SENS, mp)
-                assert cluster_all(ps) == cluster_all_loop(ps), (n, mp)
+                link, radius = partner_links(dist, SENS, mp)
+                assert cluster_all(link) == \
+                    cluster_all_loop(as_partner_sets(link, radius)), (n, mp)
 
 
 # --- combine clustering ------------------------------------------------------------
@@ -270,8 +294,7 @@ def test_two_separated_pairs_with_min_partners_one():
 
 def mutual_reachability_oracle(pts, sens, min_partners):
     """Components of the mutual partner graph, by brute-force BFS."""
-    dm = pairwise_distances(pts)
-    sets = all_partner_sets(dm, sens, min_partners)
+    link, _ = partner_links(pairwise_distances(pts), sens, min_partners)
     ids = list(range(1, pts.n + 1))
     seen, comps = set(), []
     for start in ids:
@@ -281,8 +304,8 @@ def mutual_reachability_oracle(pts, sens, min_partners):
         while todo:
             i = todo.pop()
             for j in ids:
-                if j not in comp and j in sets[i].partners \
-                        and i in sets[j].partners:
+                if j not in comp and link[i - 1, j - 1] \
+                        and link[j - 1, i - 1]:
                     comp.add(j)
                     todo.append(j)
         seen |= comp
@@ -304,30 +327,28 @@ def test_partner_sets_invariant_under_scaling():
     rng = random.Random(17)
     pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(12)]
     for scale in (0.01, 3.0, 1000.0):
-        a = all_partner_sets(pairwise_distances(PointSet.from_iterable(pts)),
+        a, _ = partner_links(pairwise_distances(PointSet.from_iterable(pts)),
                              SENS, 3)
         scaled = [(scale * x, scale * y) for x, y in pts]
-        b = all_partner_sets(
+        b, _ = partner_links(
             pairwise_distances(PointSet.from_iterable(scaled)), SENS, 3)
-        for i in a:
-            assert a[i].partners == b[i].partners
+        assert (a == b).all()
 
 
 def test_cluster_all_validates_ids():
+    # rows and columns index the same point ids
     pts = PointSet.from_iterable(square(0, 0) + square(100, 100))
-    sets = all_partner_sets(pairwise_distances(pts), SENS, 3)
-    with pytest.raises(ValueError):
-        cluster_all({k: v for k, v in sets.items() if k != 1})
-    for bad in (0, 9):
-        with pytest.raises(ValueError, match="outside 1..8"):
-            cluster_all({**sets, 2: PartnerSet(2, frozenset({1, bad}),
-                                               math.inf)})
+    link, _ = partner_links(pairwise_distances(pts), SENS, 3)
+    for bad in (link[1:], link[:, :7], link[0], link[None]):
+        with pytest.raises(ValueError, match="must be square"):
+            cluster_all(bad)
 
 
 def test_nonsilent_seed_in_own_fired_set():
     rus = builtin_dataset("ruspini")
-    sets = all_partner_sets(pairwise_distances(rus), SENS, 3)
-    part = cluster_all(sets)
+    link, radius = partner_links(pairwise_distances(rus), SENS, 3)
+    sets = as_partner_sets(link, radius)
+    part = cluster_all(link)
     for seed in range(1, 76):
         fired, silent = resonate_loop(sets, seed)
         assert seed in fired
