@@ -10,45 +10,40 @@ import math
 from statistics import NormalDist, fmean, median
 from typing import Callable
 
+import numpy as np
+
 from .expanding import (DEFAULT_SENSITIVITY, Detection, Sensitivity,
-                        detect_high_side, detect_two_sided)
+                        _interval_detection, detect_high_side,
+                        detect_two_sided)
 from .samples import Sample
 
 MAD_CONSISTENCY = 1.4826  # makes MADn estimate sigma under normality
 
 
-def _sample_sd(values: tuple[float, ...], mean: float) -> float:
+def _sample_sd(values: np.ndarray, mean: float) -> float:
     """Sample standard deviation (n-1 divisor) of sorted ``values``.
 
     The deviations are scaled by a power of two near the largest one
     before squaring, so subnormal spreads do not underflow to zero and
     huge ones do not overflow; power-of-two scaling is exact, so on
     ordinary inputs the result is that of squaring unscaled deviations.
+    The squares are summed left to right, as a Python loop would.
     """
-    _, e = math.frexp(max(values[-1] - mean, mean - values[0]))
-    scaled = [math.ldexp(x - mean, -e) for x in values]
-    var = sum(d * d for d in scaled) / (len(values) - 1)
+    _, e = math.frexp(max(float(values[-1]) - mean, mean - float(values[0])))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(values - mean, -e)
+        var = sum((scaled * scaled).tolist()) / (len(values) - 1)
     return math.ldexp(math.sqrt(var), e)
 
 
-def _mean_interval(values: tuple[float, ...], k: float) -> tuple[float, float]:
+def _mean_interval(values: np.ndarray, k: float) -> tuple[float, float]:
     """mean -+ k sample standard deviations; OverflowError past a double."""
-    m = fmean(values)
+    m = fmean(values.tolist())
     sd = _sample_sd(values, m)
     low, high = m - k * sd, m + k * sd
     if not (math.isfinite(low) and math.isfinite(high)):
         raise OverflowError(f"mean -+ {k:g} sd leaves the double range")
     return low, high
-
-
-def _interval_detection(sample: Sample, method: str, params: dict,
-                        low: float, high: float) -> Detection:
-    v = sample.values
-    idx = tuple(j for j in range(len(v)) if v[j] < low or v[j] > high)
-    return Detection(method=method, params=params,
-                     outlier_values=tuple(v[j] for j in idx),
-                     outlier_indices=idx,
-                     normal_low=low, normal_high=high)
 
 
 def mean_sigma_detect(sample: Sample, k: float = 3.0) -> Detection:
@@ -66,7 +61,7 @@ def tukey_hinges(sample: Sample) -> tuple[float, float]:
 
     Each half includes the middle value when n is odd (hinge convention).
     """
-    v = sample.values
+    v = sample.values.tolist()
     n = sample.n
     if n < 2:
         raise ValueError("hinges need at least two values")
@@ -99,8 +94,10 @@ def mad_detect(sample: Sample, k: float = 3.0,
         raise ValueError("median/MAD detection needs at least two values")
     if k <= 0 or b <= 0:
         raise ValueError("k and b must be positive")
-    med = median(sample.values)
-    madn = b * median(abs(x - med) for x in sample.values)
+    v = sample.values
+    med = median(v.tolist())
+    with np.errstate(over="ignore"):
+        madn = b * median(np.abs(v - med).tolist())
     params = {"k": k, "b": b}
     if madn == 0.0:
         return _interval_detection(sample, "mad", params, med, med)

@@ -31,7 +31,6 @@ difference ratio), linked bijectively by c = 2(1-K)/(1+K).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Literal
 
@@ -159,9 +158,9 @@ class Detection:
     """Outcome of one detector run on one sample.
 
     The flagged set is always the sample minus the values inside
-    ``[normal_low, normal_high]``.  ``trace`` holds every evaluated
-    :class:`IirRecord` (empty for baseline detectors) and ``border`` the
-    record that triggered the stop, if any.
+    ``[normal_low, normal_high]`` (all of it when that is None).  ``trace``
+    holds every evaluated :class:`IirRecord` (empty for baseline
+    detectors) and ``border`` the record that triggered the stop, if any.
     """
 
     method: str
@@ -179,12 +178,28 @@ class Detection:
         return len(self.outlier_values)
 
 
-def _empty_detection(sample: Sample, method: str, params: dict,
-                     degenerate: bool) -> Detection:
+def _outside(values: np.ndarray, low: float | None,
+             high: float | None) -> np.ndarray:
+    """Mask of the values outside [low, high]; all of them when it is None."""
+    if low is None:
+        return np.ones(len(values), dtype=bool)
+    return (values < low) | (values > high)
+
+
+def _interval_detection(sample: Sample, method: str, params: dict,
+                        low: float | None, high: float | None,
+                        trace: tuple[IirRecord, ...] = (),
+                        border: IirRecord | None = None,
+                        degenerate: bool = False) -> Detection:
+    """The detection flagging every value outside [low, high] (every value
+    when the interval is None); every detector builds its result here."""
+    idx = np.flatnonzero(_outside(sample.values, low, high))
     return Detection(method=method, params=params,
-                     outlier_values=(), outlier_indices=(),
-                     normal_low=sample.min, normal_high=sample.max,
-                     degenerate=degenerate)
+                     outlier_values=tuple(sample.values[idx].tolist()),
+                     outlier_indices=tuple(idx.tolist()),
+                     normal_low=None if low is None else float(low),
+                     normal_high=None if high is None else float(high),
+                     trace=trace, border=border, degenerate=degenerate)
 
 
 def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
@@ -218,15 +233,12 @@ def detect_high_side(sample: Sample,
     outliers.  Samples with n < 3 or zero span yield an empty detection
     (the degenerate flag set in the zero-span case).
     """
-    method = "iir-high"
-    params = {"c": sens.threshold_c}
-    v = sample.values
-    n = sample.n
-    if n < 3:
-        return _empty_detection(sample, method, params, degenerate=False)
-    span = v[-1] - v[0]
-    if span == 0.0:
-        return _empty_detection(sample, method, params, degenerate=True)
+    method, params = "iir-high", {"c": sens.threshold_c}
+    v, n = sample.values, sample.n
+    if n < 3 or sample.min == sample.max:
+        return _interval_detection(sample, method, params, sample.min,
+                                   sample.max, degenerate=n >= 3)
+    span = sample.max - sample.min
 
     # gap i (2..n-1) is d[i-1]; the first gap seeds the maximum and i > n/2
     d = _gaps(v)
@@ -234,17 +246,12 @@ def detect_high_side(sample: Sample,
                                           sens.threshold_c, first=n // 2 - 1)
     trace = _trace(np.arange(2, n), ["high"] * (n - 2), d[1:], max_prev, iir,
                    n, span, border)
-    if border is None:
-        return Detection(method=method, params=params,
-                         outlier_values=(), outlier_indices=(),
-                         normal_low=v[0], normal_high=v[-1], trace=trace)
-    cut = bisect_left(v, v[border + 2])
-    return Detection(method=method, params=params,
-                     outlier_values=v[cut:],
-                     outlier_indices=tuple(range(cut, n)),
-                     normal_low=v[0] if cut else None,
-                     normal_high=v[cut - 1] if cut else None,
-                     trace=trace, border=trace[-1])
+    # flag from the border value up, nothing without a border
+    cut = n if border is None else int(np.searchsorted(v, v[border + 2]))
+    return _interval_detection(sample, method, params,
+                               v[0] if cut else None,
+                               v[cut - 1] if cut else None, trace,
+                               None if border is None else trace[-1])
 
 
 def detect_two_sided(sample: Sample,
@@ -259,15 +266,12 @@ def detect_two_sided(sample: Sample,
     the first score >= c stops the scan and everything outside the
     accepted interval is flagged.  Reaching both ends means no outliers.
     """
-    method = "iir"
-    params = {"c": sens.threshold_c}
-    v = sample.values
-    n = sample.n
-    if n < 3:
-        return _empty_detection(sample, method, params, degenerate=False)
-    span = v[-1] - v[0]
-    if span == 0.0:
-        return _empty_detection(sample, method, params, degenerate=True)
+    method, params = "iir", {"c": sens.threshold_c}
+    v, n = sample.values, sample.n
+    if n < 3 or sample.min == sample.max:
+        return _interval_detection(sample, method, params, sample.min,
+                                   sample.max, degenerate=n >= 3)
+    span = sample.max - sample.min
 
     # Outward gap runs from the median position(s): gap index hi+1, hi+2,
     # ... to the right and lo, lo-1, ... to the left (gap i is d[i-1]).
@@ -291,15 +295,9 @@ def detect_two_sided(sample: Sample,
     trace = _trace(index[grown:],
                    np.where(is_right[grown:], "high", "low").tolist(),
                    gaps[grown:], max_prev, iir, n, span, border)
-    if border is None:
-        return Detection(method=method, params=params,
-                         outlier_values=(), outlier_indices=(),
-                         normal_low=v[0], normal_high=v[-1], trace=trace)
-    n_right = int(is_right[:grown + border].sum())
-    low, high = v[lo - (grown + border - n_right)], v[hi + n_right]
-    a, b = bisect_left(v, low), bisect_right(v, high)
-    return Detection(method=method, params=params,
-                     outlier_values=v[:a] + v[b:],
-                     outlier_indices=tuple(range(a)) + tuple(range(b, n)),
-                     normal_low=low, normal_high=high,
-                     trace=trace, border=trace[-1])
+    # the accepted run holds the gaps before the border, or all of them
+    taken = grown + (len(iir) if border is None else border)
+    n_right = int(is_right[:taken].sum())
+    return _interval_detection(sample, method, params,
+                               v[lo - (taken - n_right)], v[hi + n_right],
+                               trace, None if border is None else trace[-1])

@@ -19,28 +19,31 @@ import numpy as np
 from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _first_border, _gaps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Finite points in d dimensions (2-D in all bundled data), ids 1..n."""
+    """Finite points in d dimensions (2-D in all bundled data), ids 1..n.
 
-    points: tuple[tuple[float, ...], ...]
+    ``points`` is a read-only (n, d) float64 array; row i is point id i+1.
+    """
+
+    points: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValueError("a point set needs at least two points")
-        dim = len(self.points[0])
-        for pos, p in enumerate(self.points):
-            if len(p) != dim:
-                raise ValueError(f"point {pos + 1} has {len(p)} coordinates, "
-                                 f"expected {dim}")
-            if not all(math.isfinite(c) for c in p):
-                raise ValueError(f"non-finite coordinate in point {pos + 1}")
+        p = np.array(self.points, dtype=float)
+        if p.ndim != 2 or len(p) < 2:
+            raise ValueError(f"a point set needs at least two points as "
+                             f"rows of an (n, d) array, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"non-finite coordinate in point "
+                             f"{np.isfinite(p).all(axis=1).argmin() + 1}")
+        p.flags.writeable = False
+        object.__setattr__(self, "points", p)
 
     @classmethod
     def from_iterable(cls, rows: Iterable[Sequence[float]],
                       label: str = "") -> "PointSet":
-        return cls(tuple(tuple(float(c) for c in row) for row in rows), label)
+        return cls(list(rows), label)
 
     @property
     def n(self) -> int:
@@ -48,25 +51,27 @@ class PointSet:
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return self.points.shape[1]
 
 
 def pairwise_distances(points: PointSet) -> np.ndarray:
     """Euclidean distance matrix; symmetry is exact by construction.
 
-    For another metric, pass any square matrix with a zero diagonal to
-    :func:`partner_links`.  A distance that overflows stays infinite, and
-    the partner scan rejects it with OverflowError.
+    Squared differences are summed 128 rows at a time, so the only other
+    buffer is (128, n).  For another metric, pass any square matrix with
+    a zero diagonal to :func:`partner_links`.  A distance that overflows
+    stays infinite, and the partner scan rejects it with OverflowError.
     """
-    arr = np.asarray(points.points, dtype=float)
-    n = arr.shape[0]
+    n = points.n
     dist = np.zeros((n, n))
-    d = np.empty((n, n))
+    buf = np.empty((min(n, 128), n))
     with np.errstate(over="ignore"):
-        for x in arr.T:
-            np.subtract(x[:, None], x, out=d)
-            d *= d
-            dist += d
+        for lo in range(0, n, 128):
+            rows = dist[lo:lo + 128]
+            for x in points.points.T:
+                d = np.subtract(x[lo:lo + 128, None], x, out=buf[:len(rows)])
+                d *= d
+                rows += d
     return np.sqrt(dist, out=dist)
 
 

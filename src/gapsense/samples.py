@@ -5,36 +5,41 @@ data, so sorting and finiteness checks happen once, at construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Sample:
     """An ascending-sorted series of finite real values with a provenance label.
 
-    Use :meth:`from_iterable` for unsorted input; direct construction
-    expects already-sorted values and re-validates them.
+    ``values`` is a read-only float64 array owned by the sample.  Use
+    :meth:`from_iterable` for unsorted input; direct construction copies
+    values that must already be sorted and re-validates them.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if len(self.values) < 1:
+        v = np.array(self.values, dtype=float)
+        if v.ndim != 1 or v.size < 1:
             raise ValueError("a sample needs at least one value")
-        prev = None
-        for pos, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r} at position {pos}")
-            if prev is not None and v < prev:
-                raise ValueError(f"values not ascending at position {pos}")
-            prev = v
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite value at position "
+                             f"{np.isfinite(v).argmin()}")
+        if (v[1:] < v[:-1]).any():
+            raise ValueError(f"values not ascending at position "
+                             f"{(v[1:] < v[:-1]).argmax() + 1}")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_iterable(cls, values: Iterable[float], label: str = "") -> "Sample":
-        return cls(tuple(sorted(float(v) for v in values)), label)
+        # a stable sort keeps -0.0 and 0.0 in input order, as sorted() does
+        return cls(np.sort(np.fromiter(values, float), kind="stable"), label)
 
     @property
     def n(self) -> int:
@@ -42,11 +47,11 @@ class Sample:
 
     @property
     def min(self) -> float:
-        return self.values[0]
+        return float(self.values[0])
 
     @property
     def max(self) -> float:
-        return self.values[-1]
+        return float(self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,11 @@ def gap_series(sample: Sample) -> GapSeries:
     flag (normalized gaps undefined); callers must treat such samples as
     outlier-free.
     """
-    v = sample.values
-    if len(v) < 2:
+    if sample.n < 2:
         raise ValueError("gap series needs at least two values")
-    gaps = tuple(v[k + 1] - v[k] for k in range(len(v) - 1))
-    span = v[-1] - v[0]
-    if span == 0.0:
-        return GapSeries(gaps=gaps, span=0.0, normalized=None)
-    return GapSeries(gaps=gaps, span=span,
-                     normalized=tuple(g / span for g in gaps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(sample.values)
+        span = sample.max - sample.min
+        normalized = tuple((gaps / span).tolist()) if span else None
+    return GapSeries(gaps=tuple(gaps.tolist()), span=span,
+                     normalized=normalized)

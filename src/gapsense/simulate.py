@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import run_method
-from .expanding import DEFAULT_SENSITIVITY, Detection, Sensitivity
+from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _outside
 from .samples import Sample
 
 _MASK64 = (1 << 64) - 1
@@ -116,12 +116,6 @@ class CurvePoint:
     recall: dict[str, float | None]
 
 
-def _flagged_mask(det: Detection, values: np.ndarray) -> np.ndarray:
-    if det.normal_low is None or det.normal_high is None:
-        return np.ones(len(values), dtype=bool)
-    return (values < det.normal_low) | (values > det.normal_high)
-
-
 def _sweep_point(scn: SimScenario, x: float, methods: Sequence[str],
                  sens: Sensitivity) -> CurvePoint:
     for m in methods:
@@ -139,7 +133,8 @@ def _sweep_point(scn: SimScenario, x: float, methods: Sequence[str],
             det = run_method(m, sample, sens)
             detected[m][rep] = 100.0 * det.n_outliers / n
             if m_cont:
-                mask = _flagged_mask(det, values[n - m_cont:])
+                mask = _outside(values[n - m_cont:], det.normal_low,
+                                det.normal_high)
                 recall[m][rep] = 100.0 * mask.sum() / m_cont
     return CurvePoint(
         x=x,

@@ -42,7 +42,7 @@ def _empty(sample, method, params, degenerate):
 def high_side_loop(sample, sens):
     """Gap-by-gap :func:`gapsense.detect_high_side`."""
     method, params = "iir-high", {"c": sens.threshold_c}
-    v, n = sample.values, sample.n
+    v, n = sample.values.tolist(), sample.n
     if n < 3:
         return _empty(sample, method, params, degenerate=False)
     span = v[-1] - v[0]
@@ -82,7 +82,7 @@ def two_sided_loop(sample, sens):
     frontier gap (ties right), first to majority size, then while the
     score stays below c."""
     method, params = "iir", {"c": sens.threshold_c}
-    v, n = sample.values, sample.n
+    v, n = sample.values.tolist(), sample.n
     if n < 3:
         return _empty(sample, method, params, degenerate=False)
     span = v[-1] - v[0]

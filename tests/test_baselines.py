@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapsense import (METHODS, Sample, boxplot_detect, builtin_dataset,
-                      chauvenet_detect, mad_detect, mean_sigma_detect,
-                      normal_tail, run_method, tukey_hinges)
+from gapsense import (METHODS, Sample, Sensitivity, boxplot_detect,
+                      builtin_dataset, chauvenet_detect, mad_detect,
+                      mean_sigma_detect, normal_tail, run_method,
+                      tukey_hinges)
 
 FIVE = ("rosner", "barnett", "grubbs1", "grubbs3", "cushny")
 
@@ -184,6 +185,24 @@ def test_monotone_in_k():
             small = set(factory(s, k2).outlier_indices)
             large = set(factory(s, k1).outlier_indices)
             assert small <= large
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=3, max_size=40),
+       st.sampled_from(sorted(METHODS)),
+       st.sampled_from([0.0, 1.0, 1.81, 2.0]))
+def test_every_method_flags_exactly_the_values_outside_its_interval(
+        ints, name, c):
+    s = Sample.from_iterable([x / 4.0 for x in ints])
+    det = run_method(name, s, Sensitivity.from_threshold(c))
+    lo, hi = det.normal_low, det.normal_high
+    expect = [j for j, x in enumerate(s.values.tolist())
+              if lo is None or x < lo or x > hi]
+    assert (lo is None) == (hi is None)
+    assert list(det.outlier_indices) == expect
+    assert list(det.outlier_values) == [s.values[j] for j in expect]
+    assert all(type(x) is float for x in det.outlier_values)
+    assert all(type(x) in (float, type(None)) for x in (lo, hi))
 
 
 def test_method_table_dispatch():

@@ -95,6 +95,37 @@ def test_detect_overflowing_range_robust_methods_flag_extremes(
     assert "outliers: -1.7e+308, 1.7e+308" in out
 
 
+OVERFLOWING_DEVIATIONS = {
+    "iir": (3, "gapsense: error: numeric overflow: span must be finite, "
+               "got inf\n"),
+    "iir-high": (3, "gapsense: error: numeric overflow: span must be "
+                    "finite, got inf\n"),
+    "mean": (3, "gapsense: error: numeric overflow: mean -+ 3 sd leaves the "
+                "double range\n"),
+    "chauvenet": (3, "gapsense: error: numeric overflow: mean -+ 1.38299 sd "
+                     "leaves the double range\n"),
+    "boxplot": (0, "outliers: none\n"),
+    "mad": (0, "outliers: -1.7e+308\n"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(OVERFLOWING_DEVIATIONS))
+def test_detect_overflowing_deviations_all_methods(capsys, tmp_path, method):
+    # the deviations from the mean or median overflow, the values do not;
+    # no RuntimeWarning may reach stderr on the way
+    code, expect = OVERFLOWING_DEVIATIONS[method]
+    p = tmp_path / "huge.txt"
+    p.write_text("1.7e308\n1.7e308\n-1.7e308\n")
+    got, out, err = run(capsys, "detect", "--input", str(p),
+                        "--method", method)
+    assert got == code
+    if code:
+        assert (out, err) == ("", expect)
+    else:
+        assert err == ""
+        assert expect in out
+
+
 @pytest.mark.parametrize("method", ["mean", "chauvenet"])
 def test_detect_subnormal_spread_matches_scaled_data(capsys, tmp_path, method):
     # the squared deviations underflow to 0 unless they are scaled first;

@@ -25,7 +25,7 @@ def test_builtin_barnett():
     s = builtin_dataset("barnett")
     assert isinstance(s, Sample)
     assert s.n == 7
-    assert s.values == (3, 4, 7, 8, 10, 949, 951)
+    assert s.values.tolist() == [3, 4, 7, 8, 10, 949, 951]
     assert s.label == "barnett"
 
 
@@ -57,7 +57,8 @@ def test_table_dataset_names():
 
 
 def test_catalog_is_case_insensitive():
-    assert builtin_dataset("BARNETT").values == builtin_dataset("barnett").values
+    assert builtin_dataset("BARNETT").values.tolist() == \
+        builtin_dataset("barnett").values.tolist()
 
 
 # --- file loaders -------------------------------------------------------------
@@ -66,14 +67,14 @@ def test_load_univariate_simple(tmp_path):
     p = tmp_path / "vals.txt"
     p.write_text("1\n2\n3\n")
     s = load_univariate(p)
-    assert s.values == (1.0, 2.0, 3.0)
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
     assert s.label == str(p)
 
 
 def test_load_univariate_mixed_layout(tmp_path):
     p = tmp_path / "vals.csv"
     p.write_text("# header comment\n5, 1, 4\n\n2 \n-3\n")
-    assert load_univariate(p).values == (-3.0, 1.0, 2.0, 4.0, 5.0)
+    assert load_univariate(p).values.tolist() == [-3.0, 1.0, 2.0, 4.0, 5.0]
 
 
 def test_load_univariate_parse_error_reports_line(tmp_path):
@@ -102,10 +103,10 @@ def test_load_univariate_empty_file(tmp_path):
 def test_load_univariate_whitespace_and_csv_files(tmp_path):
     p = tmp_path / "ws.txt"
     p.write_text("1 2 3\n4 5\n")
-    assert load_univariate(p).values == (1, 2, 3, 4, 5)
+    assert load_univariate(p).values.tolist() == [1, 2, 3, 4, 5]
     q = tmp_path / "c.csv"
     q.write_text("1,2\n3\n")
-    assert load_univariate(q).values == (1, 2, 3)
+    assert load_univariate(q).values.tolist() == [1, 2, 3]
 
 
 def test_load_points2d(tmp_path):
@@ -113,7 +114,7 @@ def test_load_points2d(tmp_path):
     p.write_text("0,0\n3,4\n")
     ps = load_points2d(p)
     assert ps.n == 2
-    assert ps.points == ((0.0, 0.0), (3.0, 4.0))
+    assert ps.points.tolist() == [[0.0, 0.0], [3.0, 4.0]]
 
 
 def test_load_points2d_whitespace(tmp_path):
@@ -134,4 +135,4 @@ def test_load_points2d_ids_follow_file_order(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("9,9\n0,0\n")
     ps = load_points2d(p)
-    assert ps.points[0] == (9.0, 9.0)  # id 1 is the first row
+    assert ps.points[0].tolist() == [9.0, 9.0]  # id 1 is the first row

@@ -50,6 +50,30 @@ def test_distance_diagonal_and_symmetry():
             assert dist[i, j] == dist[j, i]  # exact
 
 
+def test_distances_in_row_blocks_equal_one_buffer_sum():
+    # more rows than one block, and three coordinates
+    rng = np.random.default_rng(3)
+    for shape in [(300, 2), (129, 3)]:
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        ref = np.zeros((shape[0], shape[0]))
+        for col in x.T:
+            ref += (col[:, None] - col) ** 2
+        assert np.array_equal(pairwise_distances(PointSet(x)), np.sqrt(ref))
+
+
+def test_pointset_points_are_a_read_only_copy():
+    src = np.array([[0.0, 0.0], [3.0, 4.0]])
+    ps = PointSet(src)
+    src[1, 0] = 9.0
+    assert ps.points.tolist() == [[0.0, 0.0], [3.0, 4.0]]
+    assert ps.points.dtype == np.float64
+    assert not ps.points.flags.writeable
+    with pytest.raises(ValueError):
+        ps.points[0, 0] = 1.0
+    assert PointSet.from_iterable([(0, 0), (1, 1)]).points.flags.writeable \
+        is False
+
+
 def test_pointset_validation():
     with pytest.raises(ValueError):
         PointSet.from_iterable([(0, 0)])

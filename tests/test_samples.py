@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,7 @@ from gapsense import GapSeries, Sample, gap_series
 
 def test_sample_sorts_and_labels():
     s = Sample.from_iterable([3, 1, 2], label="demo")
-    assert s.values == (1.0, 2.0, 3.0)
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
     assert s.label == "demo"
     assert s.n == 3
     assert s.min == 1.0 and s.max == 3.0
@@ -26,6 +27,28 @@ def test_sample_rejects_empty_and_unsorted():
         Sample.from_iterable([])
     with pytest.raises(ValueError):
         Sample(values=(2.0, 1.0))
+
+
+def test_sample_orders_signed_zeros_like_sorted():
+    # 17+ values: a short-array insertion sort would hide an unstable sort
+    values = [0.0, -0.0, 1.0, -0.0, 0.0, 0.0, -1.0, -0.0, 0.0, -0.0,
+              -0.0, 0.0, 2.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -2.0]
+    got = Sample.from_iterable(values).values.tolist()
+    assert got == sorted(values)
+    assert [math.copysign(1.0, x) for x in got] == \
+        [math.copysign(1.0, x) for x in sorted(values)]
+
+
+def test_sample_values_are_a_read_only_copy():
+    src = np.array([1.0, 2.0, 3.0])
+    s = Sample(src)
+    src[0] = -5.0
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+    assert s.values.dtype == np.float64
+    assert not s.values.flags.writeable
+    with pytest.raises(ValueError):
+        s.values[0] = 0.0
+    assert Sample.from_iterable([2, 1]).values.flags.writeable is False
 
 
 def test_gap_series_barnett():
