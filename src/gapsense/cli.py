@@ -38,9 +38,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def _sensitivity(args) -> Sensitivity:
-    if getattr(args, "K", None) is not None:
+    if args.K is not None:
         return Sensitivity.from_weber(args.K)
-    if getattr(args, "c", None) is not None:
+    if args.c is not None:
         return Sensitivity.from_threshold(args.c)
     return Sensitivity.from_threshold(DEFAULT_THRESHOLD)
 
@@ -150,12 +150,14 @@ def _master_seed(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
-    if args.sizes and args.scenario != "fig1c":
+    if args.sizes is not None and args.scenario != "fig1c":
         raise UsageError("--sizes applies only to --scenario fig1c")
+    if args.sizes is not None and not args.sizes.strip():
+        raise UsageError("--sizes needs at least one sample size")
     seed = _master_seed(args)
     if args.scenario == "fig1c":
-        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes \
-            else [10, 50, 100, 500, 1000, 5000, 10000]
+        sizes = [10, 50, 100, 500, 1000, 5000, 10000] if args.sizes is None \
+            else [int(s) for s in args.sizes.split(",")]
         points = pure_normal_curve(sizes, reps=args.reps, master_seed=seed)
     else:
         g_mean = {"fig1a": 10.0, "fig1b": 5.0}.get(args.scenario, args.g_mean)
@@ -207,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, need_input=True):
-        if need_input:
-            grp = p.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--dataset", help="bundled dataset name")
-            grp.add_argument("--input", help="path to a numeric input file")
+    def add_io(p):
+        grp = p.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--dataset", help="bundled dataset name")
+        grp.add_argument("--input", help="path to a numeric input file")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--output", help="write the report to a file")

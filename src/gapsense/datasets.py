@@ -98,6 +98,15 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _read_text(path: Path) -> str:
+    """The file's text with newlines normalised to ``\\n``; a file that is
+    not UTF-8 fails as a data error naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_univariate(path: str | Path) -> Sample:
     """Read one or more finite numbers per line into a sorted Sample.
 
@@ -107,19 +116,18 @@ def load_univariate(path: str | Path) -> Sample:
     """
     path = Path(path)
     values: list[float] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            for tok in _tokens(line):
-                try:
-                    x = float(tok)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: cannot parse {tok!r} as a number",
-                        line=lineno) from None
-                if not math.isfinite(x):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: non-finite value {tok!r}", line=lineno)
-                values.append(x)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        for tok in _tokens(line):
+            try:
+                x = float(tok)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: cannot parse {tok!r} as a number",
+                    line=lineno) from None
+            if not math.isfinite(x):
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-finite value {tok!r}", line=lineno)
+            values.append(x)
     if not values:
         raise DataFormatError(f"{path}: no numeric data found")
     return Sample.from_iterable(values, label=str(path))
@@ -153,5 +161,4 @@ def _parse_points2d(lines: list[str], label: str) -> PointSet:
 def load_points2d(path: str | Path) -> PointSet:
     """Read a two-column numeric file into a PointSet (ids follow file order)."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return _parse_points2d(fh.read().splitlines(), label=str(path))
+    return _parse_points2d(_read_text(path).splitlines(), label=str(path))

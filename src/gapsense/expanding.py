@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -134,13 +134,13 @@ def _first_border(gaps: np.ndarray, start_max: float, n: int, span: float,
     return (first + int(hits[0]) if hits.size else None), max_prev, iir
 
 
-@dataclass(frozen=True)
-class IirRecord:
+class IirRecord(NamedTuple):
     """One evaluated candidate gap.
 
     ``index`` is the gap's position i in sorted order (gap i separates
     values i-1 and i, 0-based values).  ``ihr`` is None when the gap
     equals ``max_prev`` (the ratio form is undefined there).
+    ``_asdict()`` is the record's JSON form.
     """
 
     index: int
@@ -209,17 +209,15 @@ def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
     stop = len(gap) if border is None else border + 1
     gap, max_prev = gap[:stop], max_prev[:stop]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ihr = gap / (gap - max_prev)
+        ihr = (gap / (gap - max_prev)).astype(object)
+    ihr[gap == max_prev] = None
     accepted = [True] * stop
     if border is not None:
         accepted[-1] = False
-    return tuple(
-        IirRecord(index=i, side=sd, gap=g, max_prev=m, er=e,
-                  ihr=h if g != m else None, iir=r, accepted=a)
-        for i, sd, g, m, e, h, r, a in zip(
-            index[:stop].tolist(), sides[:stop], gap.tolist(), max_prev.tolist(),
-            ((n - 1) * gap / span).tolist(), ihr.tolist(),
-            iir[:stop].tolist(), accepted))
+    return tuple(map(IirRecord._make, zip(
+        index[:stop].tolist(), sides[:stop], gap.tolist(), max_prev.tolist(),
+        ((n - 1) * gap / span).tolist(), ihr.tolist(), iir[:stop].tolist(),
+        accepted)))
 
 
 def detect_high_side(sample: Sample,

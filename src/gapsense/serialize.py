@@ -26,18 +26,6 @@ from .simulate import CurvePoint
 CURVE_CSV_COLUMNS = ("x", "method", "detected_pct", "stderr", "recall_pct")
 
 
-def _record_to_dict(rec: IirRecord) -> dict[str, Any]:
-    return {"index": rec.index, "side": rec.side, "gap": rec.gap,
-            "max_prev": rec.max_prev, "er": rec.er, "ihr": rec.ihr,
-            "iir": rec.iir, "accepted": rec.accepted}
-
-
-def _record_from_dict(d: dict[str, Any]) -> IirRecord:
-    return IirRecord(index=d["index"], side=d["side"], gap=d["gap"],
-                     max_prev=d["max_prev"], er=d["er"], ihr=d["ihr"],
-                     iir=d["iir"], accepted=d["accepted"])
-
-
 def detection_to_dict(det: Detection) -> dict[str, Any]:
     interval = None
     if det.normal_low is not None and det.normal_high is not None:
@@ -49,8 +37,8 @@ def detection_to_dict(det: Detection) -> dict[str, Any]:
         "outlier_indices": list(det.outlier_indices),
         "normal_interval": interval,
         "degenerate": det.degenerate,
-        "border": _record_to_dict(det.border) if det.border else None,
-        "trace": [_record_to_dict(r) for r in det.trace],
+        "border": None if det.border is None else det.border._asdict(),
+        "trace": [r._asdict() for r in det.trace],
     }
 
 
@@ -62,8 +50,8 @@ def detection_from_dict(d: dict[str, Any]) -> Detection:
         outlier_indices=tuple(d["outlier_indices"]),
         normal_low=None if interval is None else interval[0],
         normal_high=None if interval is None else interval[1],
-        trace=tuple(_record_from_dict(r) for r in d["trace"]),
-        border=_record_from_dict(d["border"]) if d.get("border") else None,
+        trace=tuple(IirRecord(**r) for r in d["trace"]),
+        border=IirRecord(**d["border"]) if d.get("border") else None,
         degenerate=d.get("degenerate", False),
     )
 

@@ -9,7 +9,7 @@ package clusters from one boolean reachability closure, while
 votes point by point.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from gapsense import (ClusterPartition, ClusterSummary, Detection, IirRecord,
                       iir_closed_form)
@@ -55,7 +55,7 @@ def high_side_loop(sample, sens):
         gap = v[i] - v[i - 1]
         rec = _record(i, "high", gap, max_prev, n, span, c)
         hit = rec.iir >= c and i > n / 2
-        rec = replace(rec, accepted=not hit)
+        rec = rec._replace(accepted=not hit)
         trace.append(rec)
         if hit:
             border = rec

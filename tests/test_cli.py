@@ -143,6 +143,15 @@ def test_detect_missing_file_is_data_error(capsys):
     assert code == 3
 
 
+def test_detect_non_utf8_file_is_data_error(capsys, tmp_path):
+    p = tmp_path / "latin.txt"
+    p.write_bytes(b"1\n2\n\xff3\n")
+    code, out, err = run(capsys, "detect", "--input", str(p))
+    assert code == 3
+    assert out == ""
+    assert err == f"gapsense: error: {p}: not UTF-8 text (invalid start byte)\n"
+
+
 # --- compare ----------------------------------------------------------------
 
 REFERENCE_CELLS = {
@@ -202,11 +211,20 @@ def test_simulate_env_seed(capsys, monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["custom", "fig1a", "fig1b"])
 def test_simulate_sizes_outside_fig1c_is_usage_error(capsys, scenario):
-    code, out, err = run(capsys, "simulate", "--scenario", scenario,
-                         "--sizes", "10,20", "--reps", "1")
+    for sizes in ("10,20", ""):
+        code, out, err = run(capsys, "simulate", "--scenario", scenario,
+                             "--sizes", sizes, "--reps", "1")
+        assert code == 2
+        assert out == ""
+        assert "--sizes" in err
+
+
+def test_simulate_empty_sizes_is_usage_error(capsys):
+    code, out, err = run(capsys, "simulate", "--scenario", "fig1c",
+                         "--sizes", "", "--reps", "1")
     assert code == 2
     assert out == ""
-    assert "--sizes" in err
+    assert err == "gapsense: error: --sizes needs at least one sample size\n"
 
 
 def test_simulate_bad_env_seed(capsys, monkeypatch):
@@ -280,6 +298,15 @@ def test_cluster_malformed_file(capsys, tmp_path):
     p.write_text("1,2\n3\n")
     code, _, err = run(capsys, "cluster", "--input", str(p))
     assert code == 3
+
+
+def test_cluster_non_utf8_file_is_data_error(capsys, tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"0,0\n1,1\n2,\xff2\n")
+    code, out, err = run(capsys, "cluster", "--input", str(p))
+    assert code == 3
+    assert out == ""
+    assert err == f"gapsense: error: {p}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_cluster_univariate_dataset_rejected(capsys):

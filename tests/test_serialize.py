@@ -1,8 +1,8 @@
 import json
 
-from gapsense import (PointSet, Sensitivity, builtin_dataset, cluster_points,
-                      contamination_sweep, breakdown_curve, detect_two_sided,
-                      mad_detect)
+from gapsense import (IirRecord, PointSet, Sensitivity, builtin_dataset,
+                      cluster_points, contamination_sweep, breakdown_curve,
+                      detect_two_sided, mad_detect)
 from gapsense.serialize import (CURVE_CSV_COLUMNS, curves_from_dicts,
                                 curves_to_csv, curves_to_dicts,
                                 detection_from_dict, detection_to_csv,
@@ -13,10 +13,15 @@ SENS = Sensitivity.from_threshold(1.81)
 
 
 def test_detection_json_roundtrip_with_trace():
-    det = detect_two_sided(builtin_dataset("venus"), SENS)
-    blob = to_json(detection_to_dict(det))
-    back = detection_from_dict(json.loads(blob))
-    assert back == det
+    # grubbs1's trace holds records with gap == max_prev, whose ihr is None
+    for name, n_undefined in (("venus", 0), ("grubbs1", 2)):
+        det = detect_two_sided(builtin_dataset(name), SENS)
+        assert sum(r.ihr is None for r in det.trace) == n_undefined
+        blob = to_json(detection_to_dict(det))
+        back = detection_from_dict(json.loads(blob))
+        assert back == det
+        assert all(type(r) is IirRecord for r in back.trace)
+        assert type(back.border) is IirRecord
 
 
 def test_detection_json_roundtrip_baseline():
