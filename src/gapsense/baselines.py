@@ -61,11 +61,21 @@ def tukey_hinges(sample: Sample) -> tuple[float, float]:
 
     Each half includes the middle value when n is odd (hinge convention).
     """
-    v = sample.values.tolist()
-    n = sample.n
+    return _hinges(sample.values)
+
+
+def _hinges(v: np.ndarray) -> tuple[float, float]:
+    n = len(v)
     if n < 2:
         raise ValueError("hinges need at least two values")
-    return median(v[: (n + 1) // 2]), median(v[n // 2:])
+    return median(v[: (n + 1) // 2].tolist()), median(v[n // 2:].tolist())
+
+
+def _fences(v: np.ndarray, whisker: float) -> tuple[float, float]:
+    """The boxplot interval q1 - w*IQR, q3 + w*IQR of ascending ``v``."""
+    q1, q3 = _hinges(v)
+    iqr = q3 - q1
+    return q1 - whisker * iqr, q3 + whisker * iqr
 
 
 def boxplot_detect(sample: Sample, whisker: float = 1.5) -> Detection:
@@ -76,10 +86,19 @@ def boxplot_detect(sample: Sample, whisker: float = 1.5) -> Detection:
     """
     if whisker <= 0:
         raise ValueError("whisker must be positive")
-    q1, q3 = tukey_hinges(sample)
-    iqr = q3 - q1
     return _interval_detection(sample, "boxplot", {"whisker": whisker},
-                               q1 - whisker * iqr, q3 + whisker * iqr)
+                               *_fences(sample.values, whisker))
+
+
+def _mad_interval(v: np.ndarray, k: float, b: float) -> tuple[float, float]:
+    """median -+ k * MADn of ascending ``v``; [median, median] if MADn is 0."""
+    med = median(v.tolist())
+    with np.errstate(over="ignore"):
+        madn = b * median(np.abs(v - med).tolist())
+    # not med -+ k*0: that would turn a -0.0 median's high end into 0.0
+    if madn == 0.0:
+        return med, med
+    return med - k * madn, med + k * madn
 
 
 def mad_detect(sample: Sample, k: float = 3.0,
@@ -94,14 +113,8 @@ def mad_detect(sample: Sample, k: float = 3.0,
         raise ValueError("median/MAD detection needs at least two values")
     if k <= 0 or b <= 0:
         raise ValueError("k and b must be positive")
-    v = sample.values
-    med = median(v.tolist())
-    with np.errstate(over="ignore"):
-        madn = b * median(np.abs(v - med).tolist())
-    params = {"k": k, "b": b}
-    if madn == 0.0:
-        return _interval_detection(sample, "mad", params, med, med)
-    return _interval_detection(sample, "mad", params, med - k * madn, med + k * madn)
+    return _interval_detection(sample, "mad", {"k": k, "b": b},
+                               *_mad_interval(sample.values, k, b))
 
 
 def normal_tail(z: float) -> float:

@@ -135,16 +135,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _int(text: str, name: str) -> int:
+    """``text`` as an integer, else a usage error naming ``name``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _master_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GAPSENSE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"GAPSENSE_SEED must be an integer, got {env!r}")
-    return 0
+    return 0 if env is None else _int(env, "GAPSENSE_SEED")
 
 
 def cmd_simulate(args) -> int:
@@ -157,7 +160,7 @@ def cmd_simulate(args) -> int:
     seed = _master_seed(args)
     if args.scenario == "fig1c":
         sizes = [10, 50, 100, 500, 1000, 5000, 10000] if args.sizes is None \
-            else [int(s) for s in args.sizes.split(",")]
+            else [_int(s, "--sizes entry") for s in args.sizes.split(",")]
         points = pure_normal_curve(sizes, reps=args.reps, master_seed=seed)
     else:
         g_mean = {"fig1a": 10.0, "fig1b": 5.0}.get(args.scenario, args.g_mean)

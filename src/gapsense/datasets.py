@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -22,37 +21,26 @@ class DataFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class DatasetInfo:
-    kind: str  # "univariate" | "points2d"
-    citation: str
-
-
 _UNIVARIATE: dict[str, tuple[float, ...]] = {
-    # monthly diastolic blood pressure readings of one subject
+    # Rosner (1983): monthly diastolic blood pressure readings of one subject
     "rosner": (90, 93, 86, 92, 95, 83, 75, 40, 88, 80),
+    # Barnett & Lewis, Outliers in Statistical Data
     "barnett": (3, 4, 7, 8, 10, 949, 951),
-    # strengths of hard-drawn copper wire
+    # Grubbs (1969): strengths of hard-drawn copper wire
     "grubbs1": (568, 570, 570, 570, 572, 572, 572, 578, 584, 596),
-    # percent elongation of plastic material
+    # Grubbs (1969): percent elongation of plastic material
     "grubbs3": (2.02, 2.22, 3.04, 3.23, 3.59, 3.73, 3.94, 4.05, 4.11, 4.13),
-    # extra hours of sleep, difference between two drugs, ten patients
+    # Cushny & Peebles (1905): extra hours of sleep, two-drug difference
     "cushny": (0, 0.8, 1, 1.2, 1.3, 1.3, 1.4, 1.8, 2.4, 4.6),
-    # vertical semi-diameter of Venus, Lt. Herndon, Washington 1846
+    # Peirce (1852): Lt. Herndon's Venus semi-diameters, Washington 1846
     "venus": (-0.30, 0.48, 0.63, -0.22, 0.18,
               -0.44, -0.24, -0.13, -0.05, 0.39,
               1.01, 0.06, -1.40, 0.20, 0.10),
 }
 
-CATALOG: dict[str, DatasetInfo] = {
-    "rosner": DatasetInfo("univariate", "Rosner (1983), blood pressure series"),
-    "barnett": DatasetInfo("univariate", "Barnett & Lewis, Outliers in Statistical Data"),
-    "grubbs1": DatasetInfo("univariate", "Grubbs (1969), copper wire strengths"),
-    "grubbs3": DatasetInfo("univariate", "Grubbs (1969), plastic elongations"),
-    "cushny": DatasetInfo("univariate", "Cushny & Peebles (1905), sleep data"),
-    "venus": DatasetInfo("univariate", "Peirce (1852), Herndon's Venus observations"),
-    "ruspini": DatasetInfo("points2d", "Ruspini (1970), Information Sciences 2"),
-}
+#: Every bundled dataset name; "ruspini" is the 2-D point set of Ruspini
+#: (1970), Information Sciences 2.
+CATALOG = (*_UNIVARIATE, "ruspini")
 
 #: Names of the five comparison-table datasets, in their usual order.
 TABLE_DATASETS = ("rosner", "barnett", "grubbs1", "grubbs3", "cushny")
@@ -75,18 +63,10 @@ def builtin_dataset(name: str) -> Sample | PointSet:
     if key not in CATALOG:
         valid = ", ".join(sorted(CATALOG))
         raise CatalogError(f"unknown dataset {name!r}; valid names: {valid}")
-    if CATALOG[key].kind == "univariate":
+    if key in _UNIVARIATE:
         return Sample.from_iterable(_UNIVARIATE[key], label=key)
     with resources.files("gapsense.data").joinpath("ruspini.csv").open() as fh:
         return _parse_points2d(fh.read().splitlines(), label="ruspini")
-
-
-def raw_values(name: str) -> tuple[float, ...]:
-    """Unsorted embedded values of a univariate dataset (publication order)."""
-    key = name.lower()
-    if key not in _UNIVARIATE:
-        raise CatalogError(f"no embedded univariate dataset {name!r}")
-    return _UNIVARIATE[key]
 
 
 def _tokens(line: str) -> list[str]:

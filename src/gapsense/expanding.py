@@ -189,11 +189,12 @@ def _outside(values: np.ndarray, low: float | None,
 def _interval_detection(sample: Sample, method: str, params: dict,
                         low: float | None, high: float | None,
                         trace: tuple[IirRecord, ...] = (),
-                        border: IirRecord | None = None,
                         degenerate: bool = False) -> Detection:
     """The detection flagging every value outside [low, high] (every value
-    when the interval is None); every detector builds its result here."""
+    when the interval is None); every detector builds its result here.
+    A scan's trace ends at its border, the one record not accepted."""
     idx = np.flatnonzero(_outside(sample.values, low, high))
+    border = trace[-1] if trace and not trace[-1].accepted else None
     return Detection(method=method, params=params,
                      outlier_values=tuple(sample.values[idx].tolist()),
                      outlier_indices=tuple(idx.tolist()),
@@ -248,28 +249,19 @@ def detect_high_side(sample: Sample,
     cut = n if border is None else int(np.searchsorted(v, v[border + 2]))
     return _interval_detection(sample, method, params,
                                v[0] if cut else None,
-                               v[cut - 1] if cut else None, trace,
-                               None if border is None else trace[-1])
+                               v[cut - 1] if cut else None, trace)
 
 
-def detect_two_sided(sample: Sample,
-                     sens: Sensitivity = DEFAULT_SENSITIVITY) -> Detection:
-    """Expanding scan outward from the median; flags both tails.
-
-    Phase 1 grows the accepted set from the median position(s) to
-    majority size (n//2 + 1 members) by always absorbing the side whose
-    frontier gap is smaller (ties go right).  The largest gap interior to
-    the accepted set then seeds the inhibition level.  Phase 2 keeps
-    absorbing the smaller frontier gap while its score stays below c;
-    the first score >= c stops the scan and everything outside the
-    accepted interval is flagged.  Reaching both ends means no outliers.
-    """
-    method, params = "iir", {"c": sens.threshold_c}
-    v, n = sample.values, sample.n
-    if n < 3 or sample.min == sample.max:
-        return _interval_detection(sample, method, params, sample.min,
-                                   sample.max, degenerate=n >= 3)
-    span = sample.max - sample.min
+def _two_sided(v: np.ndarray, c: float) -> tuple[float, float, tuple | None]:
+    """``(low, high, scan)``: the normal interval of the median-expanding
+    scan on ascending ``v`` and the arguments of :func:`_trace` for the
+    gaps phase 2 scored, sides as a boolean ``is_right`` array (None when
+    n < 3 or the span is zero)."""
+    n = len(v)
+    # Python floats: a span that overflows is inf, without a warning
+    span = float(v[-1]) - float(v[0])
+    if n < 3 or span == 0.0:
+        return float(v[0]), float(v[-1]), None
 
     # Outward gap runs from the median position(s): gap index hi+1, hi+2,
     # ... to the right and lo, lo-1, ... to the left (gap i is d[i-1]).
@@ -288,14 +280,32 @@ def detect_two_sided(sample: Sample,
     # when n is even) seed the inhibition level of phase 2.
     grown = n // 2 + 1 - (hi - lo + 1)
     start_max = float(np.concatenate((d[lo:hi], gaps[:grown])).max())
-    border, max_prev, iir = _first_border(gaps[grown:], start_max, n, span,
-                                          sens.threshold_c)
-    trace = _trace(index[grown:],
-                   np.where(is_right[grown:], "high", "low").tolist(),
-                   gaps[grown:], max_prev, iir, n, span, border)
+    border, max_prev, iir = _first_border(gaps[grown:], start_max, n, span, c)
     # the accepted run holds the gaps before the border, or all of them
     taken = grown + (len(iir) if border is None else border)
     n_right = int(is_right[:taken].sum())
-    return _interval_detection(sample, method, params,
-                               v[lo - (taken - n_right)], v[hi + n_right],
-                               trace, None if border is None else trace[-1])
+    return v[lo - (taken - n_right)], v[hi + n_right], (
+        index[grown:], is_right[grown:], gaps[grown:], max_prev, iir, n, span,
+        border)
+
+
+def detect_two_sided(sample: Sample,
+                     sens: Sensitivity = DEFAULT_SENSITIVITY) -> Detection:
+    """Expanding scan outward from the median; flags both tails.
+
+    Phase 1 grows the accepted set from the median position(s) to
+    majority size (n//2 + 1 members) by always absorbing the side whose
+    frontier gap is smaller (ties go right).  The largest gap interior to
+    the accepted set then seeds the inhibition level.  Phase 2 keeps
+    absorbing the smaller frontier gap while its score stays below c;
+    the first score >= c stops the scan and everything outside the
+    accepted interval is flagged.  Reaching both ends means no outliers.
+    """
+    method, params = "iir", {"c": sens.threshold_c}
+    low, high, scan = _two_sided(sample.values, sens.threshold_c)
+    trace = ()
+    if scan is not None:
+        index, right, *rest = scan
+        trace = _trace(index, np.where(right, "high", "low").tolist(), *rest)
+    return _interval_detection(sample, method, params, low, high, trace,
+                               degenerate=scan is None and sample.n >= 3)

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import run_method
-from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _outside
-from .samples import Sample
+from .baselines import MAD_CONSISTENCY, _fences, _mad_interval
+from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _outside, _two_sided
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -116,37 +115,37 @@ class CurvePoint:
     recall: dict[str, float | None]
 
 
-def _sweep_point(scn: SimScenario, x: float, methods: Sequence[str],
-                 sens: Sensitivity) -> CurvePoint:
-    for m in methods:
-        if m not in SIM_METHODS:
-            raise ValueError(f"unsupported simulation method {m!r}; "
-                             f"choose from {SIM_METHODS}")
+def _sweep_point(scn: SimScenario, x: float, sens: Sensitivity) -> CurvePoint:
+    """One curve point from each method's interval at its CLI defaults."""
     n, reps = scn.n, scn.reps
     m_cont = scn.n_contaminants
-    detected = {m: np.empty(reps) for m in methods}
-    recall = {m: np.empty(reps) for m in methods}
+    detected = {m: np.empty(reps) for m in SIM_METHODS}
+    recall = {m: np.empty(reps) for m in SIM_METHODS}
     for rep in range(reps):
         values = contaminated_sample(scn, rep)
-        sample = Sample.from_iterable(values, label=f"sim-rep{rep}")
-        for m in methods:
-            det = run_method(m, sample, sens)
-            detected[m][rep] = 100.0 * det.n_outliers / n
+        # the sorted values a Sample would hold; NaN sorts last
+        v = np.sort(values, kind="stable")
+        if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
+            raise ValueError(f"non-finite value at position "
+                             f"{np.isfinite(v).argmin()}")
+        intervals = {"iir": _two_sided(v, sens.threshold_c)[:2],
+                     "boxplot": _fences(v, 1.5),
+                     "mad": _mad_interval(v, 3.0, MAD_CONSISTENCY)}
+        for m, (low, high) in intervals.items():
+            detected[m][rep] = 100.0 * _outside(v, low, high).sum() / n
             if m_cont:
-                mask = _outside(values[n - m_cont:], det.normal_low,
-                                det.normal_high)
+                mask = _outside(values[n - m_cont:], low, high)
                 recall[m][rep] = 100.0 * mask.sum() / m_cont
     return CurvePoint(
         x=x,
-        detected={m: float(detected[m].mean()) for m in methods},
+        detected={m: float(detected[m].mean()) for m in SIM_METHODS},
         stderr={m: float(detected[m].std(ddof=1) / math.sqrt(reps))
-                if reps > 1 else 0.0 for m in methods},
+                if reps > 1 else 0.0 for m in SIM_METHODS},
         recall={m: (float(recall[m].mean()) if m_cont else None)
-                for m in methods})
+                for m in SIM_METHODS})
 
 
 def breakdown_curve(scenarios: Sequence[SimScenario],
-                    methods: Sequence[str] = SIM_METHODS,
                     sens: Sensitivity = DEFAULT_SENSITIVITY
                     ) -> list[CurvePoint]:
     """Average detected percent per method across a contamination sweep.
@@ -156,7 +155,7 @@ def breakdown_curve(scenarios: Sequence[SimScenario],
     underlying noise is reused across sweep positions (common random
     numbers) and reruns are bit-identical.
     """
-    return [_sweep_point(scn, 100.0 * scn.contamination, methods, sens)
+    return [_sweep_point(scn, 100.0 * scn.contamination, sens)
             for scn in scenarios]
 
 
@@ -173,18 +172,13 @@ def contamination_sweep(n: int = 500, fractions: Sequence[float] | None = None,
                         master_seed=master_seed) for f in fractions]
 
 
-def pure_normal_curve(sizes: Sequence[int],
-                      methods: Sequence[str] = SIM_METHODS,
-                      reps: int = 1000, master_seed: int = 0,
+def pure_normal_curve(sizes: Sequence[int], reps: int = 1000,
+                      master_seed: int = 0,
                       sens: Sensitivity = DEFAULT_SENSITIVITY
                       ) -> list[CurvePoint]:
     """False-alarm rates on uncontaminated standard-normal samples."""
-    points = []
-    for size in sizes:
-        if size < 3:
-            raise ValueError("sizes must be at least 3")
-        scn = SimScenario(n=size, contamination=0.0, target=(0.0, 1.0),
-                          contaminant=(0.0, 1.0), reps=reps,
-                          master_seed=master_seed)
-        points.append(_sweep_point(scn, float(size), methods, sens))
-    return points
+    if any(size < 3 for size in sizes):
+        raise ValueError("sizes must be at least 3")
+    return [_sweep_point(SimScenario(n=size, contamination=0.0, reps=reps,
+                                     master_seed=master_seed),
+                         float(size), sens) for size in sizes]

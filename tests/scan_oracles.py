@@ -6,13 +6,18 @@ by gap, keeping the running maximum by hand, and are what the property
 tests compare the package against, record for record.  Likewise the
 package clusters from one boolean reachability closure, while
 :func:`cluster_all_loop` runs one set-based resonance per seed and counts
-votes point by point.
+votes point by point.  The simulation reads each method's normal
+interval straight off the sorted draws, while :func:`sweep_point_loop`
+builds a Sample and runs every detector in full, once per replication.
 """
 import math
 from dataclasses import dataclass
 
-from gapsense import (ClusterPartition, ClusterSummary, Detection, IirRecord,
-                      iir_closed_form)
+import numpy as np
+
+from gapsense import (ClusterPartition, ClusterSummary, CurvePoint, Detection,
+                      IirRecord, Sample, contaminated_sample, iir_closed_form,
+                      run_method)
 
 
 @dataclass(frozen=True)
@@ -283,3 +288,32 @@ def cluster_all_loop(partner_sets):
             probability=right / len(members)))
     return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,
                             summary=tuple(summaries))
+
+
+def sweep_point_loop(scn, x, sens):
+    """Replication-by-replication :func:`gapsense.simulate._sweep_point`:
+    every draw becomes a Sample, every method a full Detection, and a
+    contaminant counts as found when its value is among the flagged ones."""
+    methods = ("iir", "boxplot", "mad")
+    n, reps = scn.n, scn.reps
+    m_cont = scn.n_contaminants
+    detected = {m: np.empty(reps) for m in methods}
+    recall = {m: np.empty(reps) for m in methods}
+    for rep in range(reps):
+        values = contaminated_sample(scn, rep)
+        sample = Sample.from_iterable(values, label=f"sim-rep{rep}")
+        for m in methods:
+            det = run_method(m, sample, sens)
+            detected[m][rep] = 100.0 * det.n_outliers / n
+            if m_cont:
+                flagged = set(det.outlier_values)
+                found = sum(value in flagged
+                            for value in values[n - m_cont:].tolist())
+                recall[m][rep] = 100.0 * found / m_cont
+    return CurvePoint(
+        x=x,
+        detected={m: float(detected[m].mean()) for m in methods},
+        stderr={m: float(detected[m].std(ddof=1) / math.sqrt(reps))
+                if reps > 1 else 0.0 for m in methods},
+        recall={m: (float(recall[m].mean()) if m_cont else None)
+                for m in methods})

@@ -227,6 +227,16 @@ def test_simulate_empty_sizes_is_usage_error(capsys):
     assert err == "gapsense: error: --sizes needs at least one sample size\n"
 
 
+@pytest.mark.parametrize("sizes, entry", [("10,,20", "''"), ("10,x", "'x'")])
+def test_simulate_bad_sizes_entry_is_usage_error(capsys, sizes, entry):
+    code, out, err = run(capsys, "simulate", "--scenario", "fig1c",
+                         "--sizes", sizes, "--reps", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("gapsense: error: --sizes entry must be an integer, "
+                   f"got {entry}\n")
+
+
 def test_simulate_bad_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("GAPSENSE_SEED", "notanumber")
     code, _, err = run(capsys, "simulate", "--reps", "1")

@@ -2,7 +2,7 @@ import pytest
 
 from gapsense import (CatalogError, DataFormatError, PointSet, Sample,
                       builtin_dataset, load_points2d, load_univariate)
-from gapsense.datasets import CATALOG, TABLE_DATASETS, raw_values
+from gapsense.datasets import _UNIVARIATE, CATALOG, TABLE_DATASETS
 
 EMBEDDED = {
     "rosner": (90, 93, 86, 92, 95, 83, 75, 40, 88, 80),
@@ -18,7 +18,7 @@ EMBEDDED = {
 
 def test_embedded_values_are_pinned():
     for name, expected in EMBEDDED.items():
-        assert raw_values(name) == expected, name
+        assert _UNIVARIATE[name] == expected, name
 
 
 def test_builtin_barnett():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gapsense import (SimScenario, breakdown_curve, contaminated_sample,
-                      contamination_sweep, polar_normals, pure_normal_curve,
-                      substream_seed)
+from gapsense import (Detection, Sample, Sensitivity, SimScenario,
+                      breakdown_curve, contaminated_sample,
+                      contamination_sweep, expanding, polar_normals,
+                      pure_normal_curve, substream_seed)
+from scan_oracles import sweep_point_loop
 
 
 def test_scenario_validation():
@@ -108,8 +111,34 @@ def test_pure_normal_curve_size_validation():
         pure_normal_curve([2], reps=5, master_seed=0)
 
 
-def test_unknown_method_rejected():
-    scenarios = contamination_sweep(n=50, fractions=[0.1], reps=5,
-                                    master_seed=0)
-    with pytest.raises(ValueError):
-        breakdown_curve(scenarios, methods=("iir", "chauvenet"))
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 60), contamination=st.floats(0.0, 0.49),
+       g_mean=st.floats(-30.0, 30.0), g_sd=st.floats(0.01, 10.0),
+       reps=st.integers(1, 5), seed=st.integers(0, 2**64 - 1),
+       c=st.floats(0.2, 2.0))
+def test_curves_match_replication_loop(n, contamination, g_mean, g_sd, reps,
+                                       seed, c):
+    sens = Sensitivity.from_threshold(c)
+    scn = SimScenario(n=n, contamination=contamination,
+                      contaminant=(g_mean, g_sd), reps=reps, master_seed=seed)
+    assert breakdown_curve([scn], sens) == [
+        sweep_point_loop(scn, 100.0 * contamination, sens)]
+    size = max(n, 3)
+    pure = SimScenario(n=size, contamination=0.0, contaminant=(0.0, 1.0),
+                       reps=reps, master_seed=seed)
+    assert pure_normal_curve([size], reps=reps, master_seed=seed,
+                             sens=sens) == [
+        sweep_point_loop(pure, float(size), sens)]
+
+
+def test_curves_build_no_detection_sample_or_trace(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulation built a per-replication object")
+
+    monkeypatch.setattr(expanding, "_trace", refuse)
+    monkeypatch.setattr(Detection, "__init__", refuse)
+    monkeypatch.setattr(Sample, "__post_init__", refuse)
+    scenarios = contamination_sweep(n=40, fractions=[0.0, 0.2], reps=3,
+                                    master_seed=5)
+    assert len(breakdown_curve(scenarios)) == 2
+    assert len(pure_normal_curve([3, 25], reps=3, master_seed=5)) == 2
