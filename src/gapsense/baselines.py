@@ -7,7 +7,7 @@ every detector, classical and expanding, for the CLI and simulations.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist, fmean, median
+from statistics import NormalDist, fmean
 from typing import Callable
 
 import numpy as np
@@ -61,21 +61,33 @@ def tukey_hinges(sample: Sample) -> tuple[float, float]:
 
     Each half includes the middle value when n is odd (hinge convention).
     """
-    return _hinges(sample.values)
+    q1, q3 = _hinges(sample.values)
+    return float(q1), float(q3)
 
 
-def _hinges(v: np.ndarray) -> tuple[float, float]:
-    n = len(v)
+def _median(v: np.ndarray) -> np.ndarray:
+    """:func:`statistics.median` of each ascending row of ``v`` (rows along
+    the last axis): the middle value, or the mean of the middle two."""
+    i = v.shape[-1] // 2
+    if v.shape[-1] % 2:
+        return v[..., i]
+    with np.errstate(over="ignore"):
+        return (v[..., i - 1] + v[..., i]) / 2
+
+
+def _hinges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = v.shape[-1]
     if n < 2:
         raise ValueError("hinges need at least two values")
-    return median(v[: (n + 1) // 2].tolist()), median(v[n // 2:].tolist())
+    return _median(v[..., :(n + 1) // 2]), _median(v[..., n // 2:])
 
 
-def _fences(v: np.ndarray, whisker: float) -> tuple[float, float]:
-    """The boxplot interval q1 - w*IQR, q3 + w*IQR of ascending ``v``."""
+def _fences(v: np.ndarray, whisker: float) -> tuple[np.ndarray, np.ndarray]:
+    """The boxplot interval q1 - w*IQR, q3 + w*IQR of each ascending row."""
     q1, q3 = _hinges(v)
-    iqr = q3 - q1
-    return q1 - whisker * iqr, q3 + whisker * iqr
+    with np.errstate(over="ignore", invalid="ignore"):
+        iqr = q3 - q1
+        return q1 - whisker * iqr, q3 + whisker * iqr
 
 
 def boxplot_detect(sample: Sample, whisker: float = 1.5) -> Detection:
@@ -90,15 +102,18 @@ def boxplot_detect(sample: Sample, whisker: float = 1.5) -> Detection:
                                *_fences(sample.values, whisker))
 
 
-def _mad_interval(v: np.ndarray, k: float, b: float) -> tuple[float, float]:
-    """median -+ k * MADn of ascending ``v``; [median, median] if MADn is 0."""
-    med = median(v.tolist())
-    with np.errstate(over="ignore"):
-        madn = b * median(np.abs(v - med).tolist())
-    # not med -+ k*0: that would turn a -0.0 median's high end into 0.0
-    if madn == 0.0:
-        return med, med
-    return med - k * madn, med + k * madn
+def _mad_interval(v: np.ndarray, k: float,
+                  b: float) -> tuple[np.ndarray, np.ndarray]:
+    """median -+ k * MADn of each ascending row of ``v``; [median, median]
+    where MADn is 0."""
+    med = _median(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        madn = b * _median(np.sort(np.abs(v - med[..., None]),
+                                   axis=-1))
+        # not med -+ k*0: that would turn a -0.0 median's high end into 0.0
+        zero = madn == 0.0
+        return (np.where(zero, med, med - k * madn),
+                np.where(zero, med, med + k * madn))
 
 
 def mad_detect(sample: Sample, k: float = 3.0,

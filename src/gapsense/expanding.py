@@ -96,13 +96,16 @@ def iir_closed_form(gap: float | np.ndarray, max_prev: float | np.ndarray,
     ``n`` is the number of data points (so n-1 is the gap count), ``span``
     their full range.  Negative when the gap is smaller than the largest
     previously accepted one, zero when equal.  ``gap`` and ``max_prev``
-    may be numpy arrays, scored elementwise.  A span that overflowed to
-    infinity raises :class:`OverflowError`.
+    may be numpy arrays, scored elementwise, and ``span`` an array that
+    broadcasts against them (one span per row).  A span that overflowed
+    to infinity raises :class:`OverflowError`.
     """
-    if not math.isfinite(span):
-        raise OverflowError(f"span must be finite, got {span}")
-    if span <= 0.0:
-        raise ValueError(f"span must be positive, got {span}")
+    low, high = ((span.min(), span.max()) if isinstance(span, np.ndarray)
+                 else (span, span))
+    if not math.isfinite(high):
+        raise OverflowError(f"span must be finite, got {high}")
+    if low <= 0.0:
+        raise ValueError(f"span must be positive, got {low}")
     if n < 2:
         raise ValueError(f"need at least two points, got n={n}")
     return (n - 1) * (gap - max_prev) / span
@@ -118,20 +121,26 @@ def _gaps(values) -> np.ndarray:
         return np.diff(values)
 
 
-def _first_border(gaps: np.ndarray, start_max: float, n: int, span: float,
-                  c: float, first: int = 0) -> tuple[int | None, np.ndarray,
-                                                      np.ndarray]:
+def _first_border(gaps: np.ndarray, start: np.ndarray, n: int, span,
+                  c: float, first: int = 0) -> tuple:
     """The expanding scan: score each gap against the largest one before it.
 
-    Gap t is scored against ``max(start_max, gaps[:t])``.  The border is
-    the first t >= ``first`` whose score reaches c (None when there is
-    none); the gaps after it are never accepted, but all are scored.
-    Returns the border with every gap's ``max_prev`` and score.
+    Rows of gaps run along the last axis.  ``start`` holds each row's
+    starting maximum and ``span`` its span, in a trailing axis of length
+    one (for one row, a one-element array and a scalar).  Gap t is scored
+    against ``max(start, gaps[:t])``.  The border is the first t >=
+    ``first`` whose score reaches c, or the gap count when there is none;
+    the gaps after it are never accepted, but all are scored.  Returns the
+    border with every gap's ``max_prev`` and score.
     """
-    max_prev = np.maximum.accumulate(np.concatenate(([start_max], gaps)))[:-1]
+    max_prev = np.maximum.accumulate(np.concatenate((start, gaps), axis=-1),
+                                     axis=-1)[..., :-1]
     iir = iir_closed_form(gaps, max_prev, n, span)
-    hits = np.flatnonzero(iir[first:] >= c)
-    return (first + int(hits[0]) if hits.size else None), max_prev, iir
+    # a hit appended past the last gap: no border reads as the gap count
+    hits = np.empty(iir.shape[:-1] + (iir.shape[-1] - first + 1,), bool)
+    hits[..., -1] = True
+    np.greater_equal(iir[..., first:], c, out=hits[..., :-1])
+    return first + hits.argmax(axis=-1), max_prev, iir
 
 
 class IirRecord(NamedTuple):
@@ -205,15 +214,15 @@ def _interval_detection(sample: Sample, method: str, params: dict,
 
 def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
            max_prev: np.ndarray, iir: np.ndarray, n: int, span: float,
-           border: int | None) -> tuple[IirRecord, ...]:
+           border: int) -> tuple[IirRecord, ...]:
     """Records of the scanned gaps, up to and including the border."""
-    stop = len(gap) if border is None else border + 1
+    stop = min(border + 1, len(gap))
     gap, max_prev = gap[:stop], max_prev[:stop]
     with np.errstate(divide="ignore", invalid="ignore"):
         ihr = (gap / (gap - max_prev)).astype(object)
     ihr[gap == max_prev] = None
     accepted = [True] * stop
-    if border is not None:
+    if border < len(gap):
         accepted[-1] = False
     return tuple(map(IirRecord._make, zip(
         index[:stop].tolist(), sides[:stop], gap.tolist(), max_prev.tolist(),
@@ -241,52 +250,60 @@ def detect_high_side(sample: Sample,
 
     # gap i (2..n-1) is d[i-1]; the first gap seeds the maximum and i > n/2
     d = _gaps(v)
-    border, max_prev, iir = _first_border(d[1:], d[0], n, span,
+    border, max_prev, iir = _first_border(d[1:], d[:1], n, span,
                                           sens.threshold_c, first=n // 2 - 1)
     trace = _trace(np.arange(2, n), ["high"] * (n - 2), d[1:], max_prev, iir,
                    n, span, border)
     # flag from the border value up, nothing without a border
-    cut = n if border is None else int(np.searchsorted(v, v[border + 2]))
+    cut = n if border == n - 2 else int(np.searchsorted(v, v[border + 2]))
     return _interval_detection(sample, method, params,
                                v[0] if cut else None,
                                v[cut - 1] if cut else None, trace)
 
 
-def _two_sided(v: np.ndarray, c: float) -> tuple[float, float, tuple | None]:
+def _two_sided(v: np.ndarray, c: float) -> tuple:
     """``(low, high, scan)``: the normal interval of the median-expanding
-    scan on ascending ``v`` and the arguments of :func:`_trace` for the
-    gaps phase 2 scored, sides as a boolean ``is_right`` array (None when
-    n < 3 or the span is zero)."""
-    n = len(v)
-    # Python floats: a span that overflows is inf, without a warning
-    span = float(v[-1]) - float(v[0])
-    if n < 3 or span == 0.0:
-        return float(v[0]), float(v[-1]), None
+    scan on each ascending row of the 2-D ``v`` (one sample is the one-row
+    case), and per row the arguments of :func:`_trace` but n for the gaps
+    phase 2 scored, sides as a boolean ``is_right`` array (scan None when
+    n < 3).  Rows of zero span keep their whole range."""
+    n = v.shape[1]
+    # a span that overflows is inf, without a warning
+    with np.errstate(over="ignore"):
+        span = v[:, -1] - v[:, 0]
+    if n < 3:
+        return v[:, 0], v[:, -1], None
 
     # Outward gap runs from the median position(s): gap index hi+1, hi+2,
     # ... to the right and lo, lo-1, ... to the left (gap i is d[i-1]).
     d = _gaps(v)
     lo, hi = (n - 1) // 2, n // 2
-    right, left = d[hi:], d[:lo][::-1]
+    right, left = d[:, hi:], d[:, lo - 1::-1]
     # "Absorb the smaller frontier gap, ties go right" takes the gaps in
     # the order of a stable merge of the two runs keyed by running maximum.
-    order = np.argsort(np.concatenate((np.maximum.accumulate(right),
-                                       np.maximum.accumulate(left))),
-                       kind="stable")
-    is_right = order < len(right)
-    index = np.where(is_right, hi + 1 + order, lo + len(right) - order)
-    gaps = np.concatenate((right, left))[order]
+    order = np.argsort(np.concatenate(
+        (np.maximum.accumulate(right, axis=1),
+         np.maximum.accumulate(left, axis=1)), axis=1), axis=1, kind="stable")
+    is_right = order < right.shape[1]
+    index = np.where(is_right, hi + 1 + order, lo + right.shape[1] - order)
+    row = np.arange(len(v))
+    gaps = np.concatenate((right, left), axis=1)[row[:, None], order]
     # Phase 1 absorbs up to majority size; its gaps (and the middle gap
     # when n is even) seed the inhibition level of phase 2.
     grown = n // 2 + 1 - (hi - lo + 1)
-    start_max = float(np.concatenate((d[lo:hi], gaps[:grown])).max())
-    border, max_prev, iir = _first_border(gaps[grown:], start_max, n, span, c)
+    start_max = np.concatenate((d[:, lo:hi], gaps[:, :grown]),
+                               axis=1).max(axis=1, keepdims=True)
+    flat = span == 0.0
+    border, max_prev, iir = _first_border(gaps[:, grown:], start_max, n,
+                                          np.where(flat, 1.0, span)[:, None],
+                                          c)
     # the accepted run holds the gaps before the border, or all of them
-    taken = grown + (len(iir) if border is None else border)
-    n_right = int(is_right[:taken].sum())
-    return v[lo - (taken - n_right)], v[hi + n_right], (
-        index[grown:], is_right[grown:], gaps[grown:], max_prev, iir, n, span,
-        border)
+    taken = grown + border
+    n_right = np.cumsum(is_right, axis=1)[row, taken - 1]
+    return (np.where(flat, v[:, 0], v[row, lo - (taken - n_right)]),
+            np.where(flat, v[:, -1], v[row, hi + n_right]),
+            (index[:, grown:], is_right[:, grown:], gaps[:, grown:],
+             max_prev, iir, span, border))
 
 
 def detect_two_sided(sample: Sample,
@@ -302,10 +319,12 @@ def detect_two_sided(sample: Sample,
     accepted interval is flagged.  Reaching both ends means no outliers.
     """
     method, params = "iir", {"c": sens.threshold_c}
-    low, high, scan = _two_sided(sample.values, sens.threshold_c)
+    low, high, scan = _two_sided(sample.values[None], sens.threshold_c)
+    degenerate = sample.n >= 3 and sample.min == sample.max
     trace = ()
-    if scan is not None:
-        index, right, *rest = scan
-        trace = _trace(index, np.where(right, "high", "low").tolist(), *rest)
-    return _interval_detection(sample, method, params, low, high, trace,
-                               degenerate=scan is None and sample.n >= 3)
+    if scan is not None and not degenerate:
+        index, right, gap, max_prev, iir, span, border = (a[0] for a in scan)
+        trace = _trace(index, np.where(right, "high", "low").tolist(), gap,
+                       max_prev, iir, sample.n, span, border)
+    return _interval_detection(sample, method, params, low[0], high[0], trace,
+                               degenerate=degenerate)

@@ -105,9 +105,9 @@ def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
             continue
         # gap t (2..n-1) is d[t-1]; the nearest-neighbor gap seeds the maximum
         d = _gaps(series)
-        border, _, _ = _first_border(d[1:], d[0], n, span, sens.threshold_c,
+        border, _, _ = _first_border(d[1:], d[:1], n, span, sens.threshold_c,
                                      first=min_partners - 1)
-        if border is not None:
+        if border < n - 2:
             radius[i] = series[border + 2]
     link = dist < radius[:, None]
     np.fill_diagonal(link, False)

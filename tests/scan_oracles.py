@@ -7,11 +7,14 @@ tests compare the package against, record for record.  Likewise the
 package clusters from one boolean reachability closure, while
 :func:`cluster_all_loop` runs one set-based resonance per seed and counts
 votes point by point.  The simulation reads each method's normal
-interval straight off the sorted draws, while :func:`sweep_point_loop`
-builds a Sample and runs every detector in full, once per replication.
+interval off blocks of sorted rows, while :func:`sweep_point_loop`
+builds a Sample and runs every detector in full, once per replication;
+:func:`fences_oracle` and :func:`mad_interval_oracle` take the baseline
+intervals from :func:`statistics.median` of Python lists.
 """
 import math
 from dataclasses import dataclass
+from statistics import median
 
 import numpy as np
 
@@ -290,10 +293,32 @@ def cluster_all_loop(partner_sets):
                             summary=tuple(summaries))
 
 
+def fences_oracle(values, whisker):
+    """Boxplot interval of ascending ``values`` from hinges taken as
+    :func:`statistics.median` of each half (with the middle value when n
+    is odd)."""
+    v = list(values)
+    n = len(v)
+    q1, q3 = median(v[:(n + 1) // 2]), median(v[n // 2:])
+    iqr = q3 - q1
+    return q1 - whisker * iqr, q3 + whisker * iqr
+
+
+def mad_interval_oracle(values, k, b):
+    """median -+ k * b * median(|x - median|) of ``values`` in Python
+    floats; [median, median] when that scale is 0."""
+    med = median(values)
+    madn = b * median(abs(x - med) for x in values)
+    if madn == 0.0:
+        return med, med
+    return med - k * madn, med + k * madn
+
+
 def sweep_point_loop(scn, x, sens):
-    """Replication-by-replication :func:`gapsense.simulate._sweep_point`:
-    every draw becomes a Sample, every method a full Detection, and a
-    contaminant counts as found when its value is among the flagged ones."""
+    """Replication-by-replication curve point of
+    :func:`gapsense.breakdown_curve`: every draw becomes a Sample, every
+    method a full Detection, and a contaminant counts as found when its
+    value is among the flagged ones."""
     methods = ("iir", "boxplot", "mad")
     n, reps = scn.n, scn.reps
     m_cont = scn.n_contaminants

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -246,6 +249,34 @@ def test_simulate_bad_env_seed(capsys, monkeypatch):
 def test_simulate_zero_reps_is_usage_error(capsys):
     code, _, err = run(capsys, "simulate", "--scenario", "fig1a", "--reps", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--g-mean", "nan"), ("--g-mean", "inf"), ("--g-mean", "-inf"),
+    ("--g-sd", "nan"), ("--g-sd", "inf")])
+def test_simulate_non_finite_contaminant_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "simulate", "--n", "20", "--reps", "2",
+                         flag + "=" + value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gapsense: error: contaminant needs a finite mean "
+                          "and a finite positive sd")
+
+
+def test_simulate_overflowing_contaminant_exits_2():
+    # a subprocess, as a user runs it: the score still overflows (with
+    # numpy warnings on stderr) before the draws reach a non-finite value
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from gapsense.cli import main; sys.exit(main())",
+         "simulate", "--n", "20", "--reps", "2", "--g-mean", "1e308",
+         "--g-sd", "1e308"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "gapsense: error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_writes_output_file(capsys, tmp_path):

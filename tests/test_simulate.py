@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gapsense import (Detection, Sample, Sensitivity, SimScenario,
                       breakdown_curve, contaminated_sample,
                       contamination_sweep, expanding, polar_normals,
-                      pure_normal_curve, substream_seed)
+                      pure_normal_curve, simulate, substream_seed)
 from scan_oracles import sweep_point_loop
 
 
@@ -22,6 +24,16 @@ def test_scenario_validation():
         SimScenario(n=100, contamination=0.1, reps=0)
     with pytest.raises(ValueError):
         SimScenario(n=100, contamination=0.1, target=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target", (math.nan, 1.0)), ("target", (0.0, math.inf)),
+    ("contaminant", (math.inf, 1.0)), ("contaminant", (-math.inf, 1.0)),
+    ("contaminant", (10.0, math.nan)), ("contaminant", (10.0, math.inf))])
+def test_scenario_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match=f"^{field} needs a finite mean "
+                                         "and a finite positive sd"):
+        SimScenario(n=20, contamination=0.1, **{field: value})
 
 
 def test_contaminant_count_rounds_half_up():
@@ -111,24 +123,115 @@ def test_pure_normal_curve_size_validation():
         pure_normal_curve([2], reps=5, master_seed=0)
 
 
-@settings(max_examples=80, deadline=None)
+scenario_lists = st.lists(st.builds(
+    SimScenario, n=st.sampled_from([2, 3, 4, 9]),
+    contamination=st.sampled_from([0.0, 0.1, 0.3, 0.45]),
+    target=st.sampled_from([(0.0, 1.0), (-2.5, 0.5)]),
+    contaminant=st.sampled_from([(10.0, 1.0), (1.5, 3.0)]),
+    reps=st.integers(1, 4), master_seed=st.sampled_from([0, 2**64 - 1])),
+    max_size=5)
+
+
+class SortSpy:
+    """Records every 2-D stable sort, the simulation's sorted blocks."""
+
+    def __init__(self):
+        self.blocks = []
+        self.sort = np.sort
+
+    def __call__(self, a, *args, **kwargs):
+        if kwargs.get("kind") == "stable" and np.ndim(a) == 2:
+            self.blocks.append(np.array(a))
+        return self.sort(a, *args, **kwargs)
+
+
+@settings(max_examples=120, deadline=None)
 @given(n=st.integers(2, 60), contamination=st.floats(0.0, 0.49),
        g_mean=st.floats(-30.0, 30.0), g_sd=st.floats(0.01, 10.0),
        reps=st.integers(1, 5), seed=st.integers(0, 2**64 - 1),
-       c=st.floats(0.2, 2.0))
+       c=st.floats(0.2, 2.0), more=scenario_lists)
 def test_curves_match_replication_loop(n, contamination, g_mean, g_sd, reps,
-                                       seed, c):
+                                       seed, c, more):
     sens = Sensitivity.from_threshold(c)
     scn = SimScenario(n=n, contamination=contamination,
                       contaminant=(g_mean, g_sd), reps=reps, master_seed=seed)
-    assert breakdown_curve([scn], sens) == [
-        sweep_point_loop(scn, 100.0 * contamination, sens)]
+    # runs of equal (n, master_seed) in ``more`` share their draws
+    scenarios = [scn, *more]
+    spy = SortSpy()
+    with mock.patch.object(np, "sort", spy):
+        curve = breakdown_curve(scenarios, sens)
+    assert curve == [sweep_point_loop(s, 100.0 * s.contamination, sens)
+                     for s in scenarios]
+    # the blocks hold every (point, rep) row in sweep order, unsorted
+    rows = [row for block in spy.blocks for row in block]
+    want = [contaminated_sample(s, rep)
+            for s in scenarios for rep in range(s.reps)]
+    assert len(rows) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, want))
     size = max(n, 3)
     pure = SimScenario(n=size, contamination=0.0, contaminant=(0.0, 1.0),
                        reps=reps, master_seed=seed)
     assert pure_normal_curve([size], reps=reps, master_seed=seed,
                              sens=sens) == [
         sweep_point_loop(pure, float(size), sens)]
+
+
+def test_first_failing_row_decides_the_error():
+    # every row's span overflows, and its contaminant too when z > 0.47
+    raised = set()
+    for seed in range(12):
+        scn = SimScenario(n=3, contamination=0.45, target=(-1e308, 1e292),
+                          contaminant=(1.75e308, 1e307), reps=6,
+                          master_seed=seed)
+        try:
+            sweep_point_loop(scn, 45.0, Sensitivity.from_threshold(1.81))
+        except (ValueError, OverflowError) as exc:
+            expect = type(exc)
+        with pytest.raises(expect):
+            breakdown_curve([scn])
+        raised.add(expect)
+    assert raised == {ValueError, OverflowError}
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_block_size_does_not_change_curves(monkeypatch, rows):
+    scenarios = (contamination_sweep(n=40, fractions=[0.0, 0.1, 0.3], reps=5,
+                                     master_seed=3)
+                 + [SimScenario(n=9, contamination=0.2, reps=4)])
+    sens = Sensitivity.from_threshold(1.5)
+    default = (breakdown_curve(scenarios, sens),
+               pure_normal_curve([5, 40], reps=6, master_seed=3))
+    monkeypatch.setattr(simulate, "_BLOCK", rows * 40)
+    assert (breakdown_curve(scenarios, sens),
+            pure_normal_curve([5, 40], reps=6, master_seed=3)) == default
+
+
+def test_blocks_stay_within_the_budget():
+    spy, drawn = SortSpy(), []
+    draws = simulate._draws
+
+    def record(n, seed, reps):
+        z = draws(n, seed, reps)
+        drawn.append(z.shape)
+        return z
+
+    pure_normal_curve([100], reps=2)  # numpy's first-call allocations
+    tracemalloc.start()
+    pure_normal_curve([10000], reps=50, master_seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # well below the 50 x 10,000 doubles (4 MB) of a whole draw matrix
+    assert peak < 50 * 10000 * 8 / 2
+    with mock.patch.object(np, "sort", spy), \
+            mock.patch.object(simulate, "_draws", record):
+        pure_normal_curve([10000], reps=50, master_seed=1)
+        assert {b.shape for b in spy.blocks} == {(1, 10000)}
+        assert set(drawn) == {(1, 10000)}
+        spy.blocks.clear()
+        breakdown_curve(contamination_sweep(n=500, reps=3, master_seed=1))
+    assert len(spy.blocks) > 1
+    assert all(b.size <= simulate._BLOCK for b in spy.blocks)
+    assert sum(len(b) for b in spy.blocks) == 50 * 3
 
 
 def test_curves_build_no_detection_sample_or_trace(monkeypatch):
