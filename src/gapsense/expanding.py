@@ -121,6 +121,11 @@ def _gaps(values) -> np.ndarray:
         return np.diff(values)
 
 
+#: Values per block of rows handed to the row kernels at once (one row
+#: when a row alone is longer); the simulation and the partner scan share it.
+_BLOCK = 1 << 14
+
+
 def _first_border(gaps: np.ndarray, start: np.ndarray, n: int, span,
                   c: float, first: int = 0) -> tuple:
     """The expanding scan: score each gap against the largest one before it.

@@ -1,10 +1,12 @@
 """Multi-class clustering by per-point partner sets and resonance.
 
 Every point runs the one-sided expanding scan on its own sorted distance
-series to pick a partner set (its local notion of "my cluster").  A
-resonance run then seeds one point and fires everything reachable along
-partner links; the runs of all seeds, computed at once as one boolean
-reachability closure, vote each point into a cluster.
+series to pick a partner set (its local notion of "my cluster"); the
+scan takes blocks of distance rows at once.  A resonance run then seeds
+one point and fires everything reachable along partner links, and the
+runs of all seeds vote each point into a cluster.  The runs are read off
+the strongly connected components of the partner graph: all members of
+a component fire the same set, so the vote is a vote among components.
 
 Point ids are 1-based throughout this module, matching input file rows.
 """
@@ -16,7 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _first_border, _gaps
+from .expanding import (_BLOCK, DEFAULT_SENSITIVITY, Sensitivity,
+                        _first_border, _gaps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +90,8 @@ def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
     all-distances-equal degenerate case) leaves ``radius[i]`` infinite.
     Returns ``(link, radius)``: ``link[i, j]`` holds when point j is a
     partner of point i, that is nearer than ``radius[i]`` (never i itself).
+    Rows are sorted and scanned in blocks of at most 2^14 distances (one
+    row when n is larger), so the scan's scratch memory stays bounded.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -98,17 +103,19 @@ def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
         raise ValueError(f"need at least {min_partners + 1} points for "
                          f"min_partners={min_partners}, got {n}")
     radius = np.full(n, math.inf)
-    for i, row in enumerate(dist):
-        series = np.sort(row)
-        span = series[-1]
-        if span <= 0.0:
-            continue
-        # gap t (2..n-1) is d[t-1]; the nearest-neighbor gap seeds the maximum
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        series = np.sort(dist[lo:lo + step], axis=1)
+        span = series[:, -1:]
+        flat = span <= 0.0
+        # gap t (2..n-1) is d[:, t-1]; the nearest-neighbor gap seeds the
+        # maximum; zero-span rows are scored on a unit span, then dropped
         d = _gaps(series)
-        border, _, _ = _first_border(d[1:], d[:1], n, span, sens.threshold_c,
-                                     first=min_partners - 1)
-        if border < n - 2:
-            radius[i] = series[border + 2]
+        border, _, _ = _first_border(d[:, 1:], d[:, :1], n,
+                                     np.where(flat, 1.0, span),
+                                     sens.threshold_c, first=min_partners - 1)
+        found = np.flatnonzero((border < n - 2) & ~flat[:, 0])
+        radius[lo + found] = series[found, border[found] + 2]
     link = dist < radius[:, None]
     np.fill_diagonal(link, False)
     return link, radius
@@ -138,62 +145,112 @@ class ClusterPartition:
         return len(self.summary)
 
 
+def _scc_ids(link: np.ndarray) -> np.ndarray:
+    """Strongly connected component of every point, by Kosaraju-Sharir.
+
+    Components are numbered in topological order of the condensation: a
+    link never leads from a component to one with a smaller number.
+    """
+    n = len(link)
+    # depth-first finishing order; each step descends to the first fresh
+    # partner of the point on top, or finishes it (2n steps in all)
+    fresh = np.ones(n, dtype=bool)
+    finished = []
+    for root in range(n):
+        if not fresh[root]:
+            continue
+        fresh[root] = False
+        path = [root]
+        while path:
+            step = link[path[-1]] & fresh
+            nxt = step.argmax()
+            if step[nxt]:
+                fresh[nxt] = False
+                path.append(nxt)
+            else:
+                finished.append(path.pop())
+    # breadth-first along reversed links from the latest finisher not yet
+    # placed: each search collects one component, sources first
+    into = np.ascontiguousarray(link.T)
+    scc = np.full(n, -1)
+    k = 0
+    for root in reversed(finished):
+        if scc[root] >= 0:
+            continue
+        frontier = np.array([root])
+        while frontier.size:
+            scc[frontier] = k
+            frontier = np.flatnonzero(into[frontier].any(axis=0) & (scc < 0))
+        k += 1
+    return scc
+
+
 def cluster_all(link: np.ndarray) -> ClusterPartition:
     """Combine the resonance runs of every seed into one partition.
 
     ``link[i, j]`` holds when point j+1 is a partner of point i+1 (the
     diagonal is ignored).  A run seeded at s fires every point reachable
-    from s along partner links, so the runs of all seeds are the rows of
-    one boolean transitive closure, kept as rows packed 8 points to a
-    byte (n²/8 bytes).  A run is silent when no fired point other than
-    the seed lists the seed among its partners.  Every non-silent run
-    votes for its fired set; a point's label is the most frequent fired
-    set among the runs that contain it, ties broken toward the set voted
-    by the smallest seed id.
+    from s along partner links.  A run is silent when no fired point
+    other than the seed lists the seed among its partners.  Every
+    non-silent run votes for its fired set; a point's label is the most
+    frequent fired set among the runs that contain it, ties broken toward
+    the set voted by the smallest seed id.
+
+    The vote is read off the strongly connected components (SCCs) of the
+    link graph.  With self-links dropped, a seed is non-silent exactly
+    when its SCC C has two or more points; every member of C fires the
+    same set, C plus all it reaches; and two SCCs never fire the same
+    set.  So the set of C gets |C| votes, first from min(C), and a point
+    joins the largest SCC whose fired set holds it, equal sizes going to
+    the smaller min(C).  The fired sets are rows packed 8 points to a
+    byte, one per SCC, each the union of its successors' rows, filled in
+    reverse topological order.
     """
     link = np.asarray(link, dtype=bool)
     if link.ndim != 2 or link.shape[0] != link.shape[1]:
         raise ValueError(f"link matrix must be square, got {link.shape}")
     n = link.shape[0]
     ids = np.arange(n)
-    bit = (0x80 >> (ids & 7)).astype(np.uint8)  # bit k is in byte k >> 3
+    scc = _scc_ids(link)
+    size = np.bincount(scc)
+    k = len(size)
+    by_scc = np.argsort(scc, kind="stable")
+    start = np.cumsum(size) - size
+    smallest = by_scc[start]
+    # reach[c]: the points of SCC c and every point reachable from them,
+    # each row first its own points, then the union over its successors
+    reach = np.zeros((k, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(reach, (scc, ids >> 3),
+                     (0x80 >> (ids & 7)).astype(np.uint8))
+    for c in range(k - 1, -1, -1):
+        succ = np.zeros(k, dtype=bool)
+        succ[scc[link[by_scc[start[c]:start[c] + size[c]]].any(axis=0)]] = True
+        succ[c] = True
+        np.bitwise_or.reduce(reach[succ], axis=0, out=reach[c])
+    silent = size[scc] == 1
 
-    # Warshall, self-links dropped: after pivot k, fired[i, j] holds when
-    # a path of links leads from i to j through points among 0..k
-    fired = np.packbits(link, axis=1)
-    fired[ids, ids >> 3] &= ~bit
-    for k in range(n):
-        fired[(fired[:, k >> 3] & bit[k]) != 0] |= fired[k]
-    # seed s is silent when no path leads back to it; otherwise its run
-    # fires s itself, as the resonance run does
-    silent = (fired[ids, ids >> 3] & bit) == 0
-    voters = np.flatnonzero(~silent)
-
-    # one signature per distinct fired row, compared as packed bytes
-    rows = fired.view(f"V{fired.shape[1]}").ravel()
-    _, first, votes = np.unique(rows[voters], return_index=True,
-                                return_counts=True)
-    first = voters[first]
-    # best signature first: most votes, then smallest first voter
-    sigs = first[np.lexsort((first, -votes))]
-    contains = np.unpackbits(fired[sigs], axis=1, count=n)
+    # best SCC first: most votes, then smallest first voter
+    voted = np.flatnonzero(size > 1)
+    voted = voted[np.lexsort((smallest[voted], -size[voted]))]
+    contains = np.unpackbits(reach[voted], axis=1, count=n)
     assigned = np.flatnonzero(contains.any(axis=0))
-    winner = sigs[contains.argmax(axis=0)[assigned]] if sigs.size else sigs
+    winner = voted[contains.argmax(axis=0)[assigned]] if voted.size else voted
 
     # clusters numbered by their smallest member
-    _, smallest, group = np.unique(winner, return_index=True,
-                                   return_inverse=True)
-    _, cluster_of = np.unique(smallest[group], return_inverse=True)
-    members_of = np.zeros((len(smallest), n), dtype=bool)
+    _, first, group = np.unique(winner, return_index=True,
+                                return_inverse=True)
+    _, cluster_of = np.unique(first[group], return_inverse=True)
+    members_of = np.zeros((len(first), n), dtype=bool)
     members_of[cluster_of, assigned] = True
-    member_rows = np.packbits(members_of, axis=1).view(rows.dtype).ravel()
-    # a silent seed is never right: its fired row lacks its own bit
-    right = rows[assigned] == member_rows[cluster_of]
+    member_rows = np.packbits(members_of, axis=1)
+    # a seed is right when its SCC's row is its cluster; a silent seed never
+    # is, as its cluster holds the winning SCC, which it cannot reach back
+    right = (reach[scc[assigned]] == member_rows[cluster_of]).all(axis=1)
 
     labels: list[int | None] = [None] * n
     summaries = []
     silent_ids = frozenset((np.flatnonzero(silent) + 1).tolist())
-    for cid in range(len(smallest)):
+    for cid in range(len(first)):
         in_cluster = cluster_of == cid
         members = tuple((assigned[in_cluster] + 1).tolist())
         for p in members:

@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import MAD_CONSISTENCY, _fences, _mad_interval
-from .expanding import DEFAULT_SENSITIVITY, Sensitivity, _outside, _two_sided
+from .expanding import (_BLOCK, DEFAULT_SENSITIVITY, Sensitivity, _outside,
+                        _two_sided)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Values per block of simulated rows (one row when n alone exceeds it).
-_BLOCK = 1 << 14
 
 SIM_METHODS = ("iir", "boxplot", "mad")
 
@@ -95,8 +94,11 @@ class SimScenario:
 def _draws(n: int, master_seed: int, reps) -> np.ndarray:
     """One row of ``n`` polar normals per replication in ``reps`` (Python
     ints), each drawn from the replication's own substream."""
-    return np.array([polar_normals(np.random.Generator(np.random.PCG64(
-        substream_seed(master_seed, rep))), n) for rep in reps])
+    out = np.empty((len(reps), n))
+    for row, rep in zip(out, reps):
+        row[:] = polar_normals(np.random.Generator(np.random.PCG64(
+            substream_seed(master_seed, rep))), n)
+    return out
 
 
 def contaminated_sample(scn: SimScenario, rep: int) -> np.ndarray:

@@ -4,9 +4,10 @@ clustering, one Python loop each.
 The package scores a whole gap sequence at once; these loops walk it gap
 by gap, keeping the running maximum by hand, and are what the property
 tests compare the package against, record for record.  Likewise the
-package clusters from one boolean reachability closure, while
-:func:`cluster_all_loop` runs one set-based resonance per seed and counts
-votes point by point.  The simulation reads each method's normal
+package clusters on the strongly connected components of the partner
+graph, while :func:`cluster_all_loop` runs one set-based resonance per
+seed and counts votes point by point, and :func:`cluster_all_warshall`
+votes on the rows of one transitive closure by Warshall's loop.  The simulation reads each method's normal
 interval off blocks of sorted rows, while :func:`sweep_point_loop`
 builds a Sample and runs every detector in full, once per replication;
 :func:`fences_oracle` and :func:`mad_interval_oracle` take the baseline
@@ -289,6 +290,64 @@ def cluster_all_loop(partner_sets):
             cluster_id=cid, members=tuple(members), right_count=right,
             silent_members=silent_members,
             probability=right / len(members)))
+    return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,
+                            summary=tuple(summaries))
+
+
+def closure_warshall(link):
+    """Fired rows of every seed by Warshall's loop, packed 8 points to a
+    byte: bit j of row s is set when a path of one or more links leads
+    from s to j (self-links dropped)."""
+    link = np.ascontiguousarray(link, dtype=bool)
+    n = len(link)
+    ids = np.arange(n)
+    bit = (0x80 >> (ids & 7)).astype(np.uint8)  # bit k is in byte k >> 3
+    fired = np.packbits(link, axis=1)
+    fired[ids, ids >> 3] &= ~bit
+    # after pivot k, fired[i, j] holds when a path leads from i to j
+    # through points among 0..k
+    for k in range(n):
+        fired[(fired[:, k >> 3] & bit[k]) != 0] |= fired[k]
+    return fired
+
+
+def cluster_all_warshall(link):
+    """:func:`gapsense.cluster_all` voting on :func:`closure_warshall`:
+    one signature per distinct fired row, best signature first (most
+    votes, then smallest first voter)."""
+    fired = closure_warshall(link)
+    n = len(fired)
+    ids = np.arange(n)
+    silent = (fired[ids, ids >> 3] & (0x80 >> (ids & 7))) == 0
+    voters = np.flatnonzero(~silent)
+    rows = fired.view(f"V{fired.shape[1]}").ravel()
+    _, first, votes = np.unique(rows[voters], return_index=True,
+                                return_counts=True)
+    first = voters[first]
+    sigs = first[np.lexsort((first, -votes))]
+    contains = np.unpackbits(fired[sigs], axis=1, count=n)
+    assigned = np.flatnonzero(contains.any(axis=0))
+    winner = sigs[contains.argmax(axis=0)[assigned]] if sigs.size else sigs
+    _, smallest, group = np.unique(winner, return_index=True,
+                                   return_inverse=True)
+    _, cluster_of = np.unique(smallest[group], return_inverse=True)
+    members_of = np.zeros((len(smallest), n), dtype=bool)
+    members_of[cluster_of, assigned] = True
+    member_rows = np.packbits(members_of, axis=1).view(rows.dtype).ravel()
+    right = rows[assigned] == member_rows[cluster_of]
+    labels = [None] * n
+    summaries = []
+    silent_ids = frozenset((np.flatnonzero(silent) + 1).tolist())
+    for cid in range(len(smallest)):
+        in_cluster = cluster_of == cid
+        members = tuple((assigned[in_cluster] + 1).tolist())
+        for p in members:
+            labels[p - 1] = cid + 1
+        right_count = int(right[in_cluster].sum())
+        summaries.append(ClusterSummary(
+            cluster_id=cid + 1, members=members, right_count=right_count,
+            silent_members=tuple(p for p in members if p in silent_ids),
+            probability=right_count / len(members)))
     return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,
                             summary=tuple(summaries))
 

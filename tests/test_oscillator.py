@@ -1,4 +1,5 @@
 """Partner-set and resonance-clustering tests."""
+import itertools
 import math
 import random
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from gapsense import (PointSet, Sensitivity, builtin_dataset, cluster_all,
-                      cluster_points, pairwise_distances, partner_links)
-from scan_oracles import (PartnerSet, cluster_all_loop, partner_set_loop,
-                          resonate_loop)
+                      cluster_points, oscillator, pairwise_distances,
+                      partner_links)
+from scan_oracles import (PartnerSet, cluster_all_loop, cluster_all_warshall,
+                          partner_set_loop, resonate_loop)
 
 SENS = Sensitivity.from_threshold(1.81)
 
@@ -154,6 +156,38 @@ def test_partner_sets_equal_reference_loop():
             (pts, sens, mp)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_partner_links_in_row_blocks_equal_reference_loop(monkeypatch, rows):
+    # a budget of `rows` rows per block; n up to 40 spans up to 40 blocks
+    rng = np.random.default_rng(rows)
+    for n in (2, 3, 8, 23, 40):
+        monkeypatch.setattr(oscillator, "_BLOCK", rows * n)
+        pts = rng.normal(size=(n, 2))
+        dist = pairwise_distances(PointSet(pts))
+        # a custom metric whose zero-span rows share blocks with others
+        zeroed = dist.copy()
+        zeroed[::3] = 0.0
+        # at c = 0 a zero-span row would find a border if it were scored
+        for d, sens in itertools.product(
+                (dist, zeroed, np.zeros((n, n))),
+                (SENS, Sensitivity.from_threshold(0.0))):
+            for mp in range(1, min(5, n - 1) + 1):
+                link, radius = partner_links(d, sens, mp)
+                assert as_partner_sets(link, radius) == \
+                    {i: partner_set_loop(d, i, sens, mp)
+                     for i in range(1, n + 1)}, (n, mp)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_partner_links_overflow_in_a_later_block(monkeypatch, rows):
+    monkeypatch.setattr(oscillator, "_BLOCK", rows * 20)
+    dist = pairwise_distances(collinear(*range(20)))
+    partner_links(dist, SENS, 3)
+    dist[-1, :-1] = math.inf  # only the last row's span overflows
+    with pytest.raises(OverflowError, match="span must be finite"):
+        partner_links(dist, SENS, 3)
+
+
 def test_ruspini_point_70_partners_stay_in_bottom_group():
     rus = builtin_dataset("ruspini")
     link, _ = partner_links(pairwise_distances(rus), SENS, min_partners=3)
@@ -274,8 +308,9 @@ def test_cluster_all_equals_reference_loop():
     rng = random.Random(20261018)
     for _ in range(2000):
         graph = random_partner_graph(rng, rng.randint(1, 25))
-        assert cluster_all(mk_link(graph)) == \
-            cluster_all_loop(mk_partner_sets(graph)), graph
+        part = cluster_all(mk_link(graph))
+        assert part == cluster_all_loop(mk_partner_sets(graph)), graph
+        assert part == cluster_all_warshall(mk_link(graph)), graph
     gen = np.random.default_rng(20261018)
     for n in (60, 90, 120):
         blobs = np.repeat([[0, 0], [25, 0], [0, 25]], n // 3, axis=0)
@@ -284,8 +319,41 @@ def test_cluster_all_equals_reference_loop():
             dist = pairwise_distances(PointSet.from_iterable(pts.tolist()))
             for mp in (1, 3, 5):
                 link, radius = partner_links(dist, SENS, mp)
-                assert cluster_all(link) == \
-                    cluster_all_loop(as_partner_sets(link, radius)), (n, mp)
+                part = cluster_all(link)
+                assert part == cluster_all_loop(
+                    as_partner_sets(link, radius)), (n, mp)
+                assert part == cluster_all_warshall(link), (n, mp)
+
+
+def adversarial_links(n):
+    """Link matrices that make depth-first, breadth-first or closure
+    loops long: (name, n x n bool matrix).  The reverse path is a
+    transposed view, so its rows are not contiguous."""
+    i = np.arange(n)
+    path = np.zeros((n, n), dtype=bool)
+    path[i[:-1], i[1:]] = True
+    ring = path.copy()
+    ring[n - 1, 0] = True
+    pairs = path.copy()  # 2i <-> 2i+1, then 2i+1 -> 2i+2
+    pairs[i[1::2], i[:-1:2]] = True
+    tournament = i[:, None] < i
+    cycled = tournament.copy()  # a 2-cycle at the source
+    cycled[1, 0] = True
+    bipartite = (i[:, None] < n // 2) & (i >= n // 2)
+    return [("path", path), ("reverse path", path.T), ("ring", ring),
+            ("chain of 2-cycles", pairs), ("tournament", tournament),
+            ("tournament with a 2-cycle", cycled),
+            ("complete bipartite DAG", bipartite)]
+
+
+@pytest.mark.parametrize("name,link", adversarial_links(200))
+def test_cluster_all_on_adversarial_graphs(name, link):
+    perm = np.random.default_rng(len(name)).permutation(len(link))
+    for graph in (link, link[perm][:, perm]):
+        part = cluster_all(graph)
+        assert part == cluster_all_loop(
+            as_partner_sets(graph, np.full(len(graph), math.inf))), name
+        assert part == cluster_all_warshall(graph), name
 
 
 # --- combine clustering ------------------------------------------------------------
