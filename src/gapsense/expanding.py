@@ -108,7 +108,10 @@ def iir_closed_form(gap: float | np.ndarray, max_prev: float | np.ndarray,
         raise ValueError(f"span must be positive, got {low}")
     if n < 2:
         raise ValueError(f"need at least two points, got n={n}")
-    return (n - 1) * (gap - max_prev) / span
+    # scaled by 2**-e, with span < 2**e and e >= 0, (n-1) times a difference
+    # cannot overflow; the scaling is exact, so ordinary scores keep every bit
+    scale = math.ldexp(1.0, -max(math.frexp(high)[1], 0))
+    return (n - 1) * scale * (gap - max_prev) / (span * scale)
 
 
 def _gaps(values) -> np.ndarray:
@@ -231,8 +234,8 @@ def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
         accepted[-1] = False
     return tuple(map(IirRecord._make, zip(
         index[:stop].tolist(), sides[:stop], gap.tolist(), max_prev.tolist(),
-        ((n - 1) * gap / span).tolist(), ihr.tolist(), iir[:stop].tolist(),
-        accepted)))
+        iir_closed_form(gap, 0.0, n, span).tolist(), ihr.tolist(),
+        iir[:stop].tolist(), accepted)))
 
 
 def detect_high_side(sample: Sample,

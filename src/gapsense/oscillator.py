@@ -201,63 +201,46 @@ def cluster_all(link: np.ndarray) -> ClusterPartition:
     when its SCC C has two or more points; every member of C fires the
     same set, C plus all it reaches; and two SCCs never fire the same
     set.  So the set of C gets |C| votes, first from min(C), and a point
-    joins the largest SCC whose fired set holds it, equal sizes going to
-    the smaller min(C).  The fired sets are rows packed 8 points to a
-    byte, one per SCC, each the union of its successors' rows, filled in
-    reverse topological order.
+    joins the best SCC that reaches it: the largest, then the smaller
+    min(C).  One pass in topological order pushes each SCC's best rank
+    along its links.  A seed fires exactly its cluster only when its SCC
+    won the cluster and no link leaves it; any other seed's fired set
+    would hold the winner, which would then reach back into the seed.
     """
     link = np.asarray(link, dtype=bool)
     if link.ndim != 2 or link.shape[0] != link.shape[1]:
         raise ValueError(f"link matrix must be square, got {link.shape}")
     n = link.shape[0]
-    ids = np.arange(n)
     scc = _scc_ids(link)
     size = np.bincount(scc)
-    k = len(size)
-    by_scc = np.argsort(scc, kind="stable")
-    start = np.cumsum(size) - size
-    smallest = by_scc[start]
-    # reach[c]: the points of SCC c and every point reachable from them,
-    # each row first its own points, then the union over its successors
-    reach = np.zeros((k, (n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(reach, (scc, ids >> 3),
-                     (0x80 >> (ids & 7)).astype(np.uint8))
-    for c in range(k - 1, -1, -1):
-        succ = np.zeros(k, dtype=bool)
-        succ[scc[link[by_scc[start[c]:start[c] + size[c]]].any(axis=0)]] = True
-        succ[c] = True
-        np.bitwise_or.reduce(reach[succ], axis=0, out=reach[c])
-    silent = size[scc] == 1
-
-    # best SCC first: most votes, then smallest first voter
-    voted = np.flatnonzero(size > 1)
-    voted = voted[np.lexsort((smallest[voted], -size[voted]))]
-    contains = np.unpackbits(reach[voted], axis=1, count=n)
-    assigned = np.flatnonzero(contains.any(axis=0))
-    winner = voted[contains.argmax(axis=0)[assigned]] if voted.size else voted
-
-    # clusters numbered by their smallest member
-    _, first, group = np.unique(winner, return_index=True,
-                                return_inverse=True)
-    _, cluster_of = np.unique(first[group], return_inverse=True)
-    members_of = np.zeros((len(first), n), dtype=bool)
-    members_of[cluster_of, assigned] = True
-    member_rows = np.packbits(members_of, axis=1)
-    # a seed is right when its SCC's row is its cluster; a silent seed never
-    # is, as its cluster holds the winning SCC, which it cannot reach back
-    right = (reach[scc[assigned]] == member_rows[cluster_of]).all(axis=1)
+    # SCCs by rank: most votes, then smallest first voter; the silent
+    # singletons rank after every voter
+    order = np.lexsort((np.unique(scc, return_index=True)[1], -size))
+    voters = np.count_nonzero(size > 1)
+    # best[p]: the best rank reaching p; every SCC has heard from all
+    # that reach it before it pushes its own best along its links
+    best = np.argsort(order)[scc]
+    for members in np.split(np.argsort(scc, kind="stable"),
+                            np.cumsum(size))[:-1]:
+        r = best[members].min()
+        # an SCC's members link to each other, so they take r here too
+        best[link[members].any(axis=0) & (best > r)] = r
 
     labels: list[int | None] = [None] * n
     summaries = []
-    silent_ids = frozenset((np.flatnonzero(silent) + 1).tolist())
-    for cid in range(len(first)):
-        in_cluster = cluster_of == cid
-        members = tuple((assigned[in_cluster] + 1).tolist())
+    silent_ids = frozenset((np.flatnonzero(size[scc] == 1) + 1).tolist())
+    # clusters numbered by their smallest member
+    ranks = best[best < voters]
+    _, first = np.unique(ranks, return_index=True)
+    for cid, r in enumerate(ranks[np.sort(first)], start=1):
+        idx = np.flatnonzero(best == r)
+        members = tuple((idx + 1).tolist())
         for p in members:
-            labels[p - 1] = cid + 1
-        right_count = int(right[in_cluster].sum())
+            labels[p - 1] = cid
+        closed = (best[link[idx].any(axis=0)] == r).all()
+        right_count = int(size[order[r]]) if closed else 0
         summaries.append(ClusterSummary(
-            cluster_id=cid + 1, members=members, right_count=right_count,
+            cluster_id=cid, members=members, right_count=right_count,
             silent_members=tuple(p for p in members if p in silent_ids),
             probability=right_count / len(members)))
     return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,

@@ -130,66 +130,63 @@ class CurvePoint:
     recall: dict[str, float | None]
 
 
+def _counts(run: Sequence[SimScenario], c: float) -> np.ndarray:
+    """Values and contaminants flagged, shape (2, methods, points, reps),
+    by scenarios of equal (n, master_seed, reps) at each method's CLI
+    defaults.  Row point * reps + rep is replication rep of that point;
+    rows run in order, at most ``_BLOCK`` values at a time, and the first
+    row the detectors cannot take raises.  Two or more scenarios share
+    each replication's draws; a lone one draws block by block."""
+    n, seed, reps = run[0].n, run[0].master_seed, run[0].reps
+    mix = np.array([(*scn.target, *scn.contaminant, n - scn.n_contaminants)
+                    for scn in run])
+    shared = _draws(n, seed, range(reps)) if len(run) > 1 else None
+    counts = np.empty((2, len(SIM_METHODS), len(run), reps), dtype=np.int64)
+    rows = counts.reshape(2, len(SIM_METHODS), -1)
+    step = max(1, _BLOCK // n)
+    for b in range(0, rows.shape[-1], step):
+        point, rep = np.divmod(np.arange(b, min(b + step, rows.shape[-1])),
+                               reps)
+        z = _draws(n, seed, rep.tolist()) if shared is None else shared[rep]
+        mu_f, sd_f, mu_g, sd_g, cut = mix[point].T[..., None]
+        tail = np.arange(n) >= cut
+        with np.errstate(over="ignore"):
+            values = np.where(tail, mu_g + sd_g * z, mu_f + sd_f * z)
+        # the sorted values a Sample would hold; NaN sorts last
+        v = np.sort(values, axis=-1, kind="stable")
+        finite = np.isfinite(v[:, 0]) & np.isfinite(v[:, -1])
+        if not finite.all():
+            i = int(finite.argmin())
+            if i:  # the scan raises first if an earlier span overflows
+                _two_sided(v[:i], c)
+            raise ValueError(f"non-finite value at position "
+                             f"{np.isfinite(v[i]).argmin()}")
+        for j, (low, high) in enumerate((
+                _two_sided(v, c)[:2], _fences(v, 1.5),
+                _mad_interval(v, 3.0, MAD_CONSISTENCY))):
+            out = _outside(values, low[:, None], high[:, None])
+            rows[:, j, b:b + step] = out.sum(-1), (out & tail).sum(-1)
+    return counts
+
+
 def _curve(scenarios: Sequence[SimScenario], xs: Sequence[float],
            c: float) -> list[CurvePoint]:
-    """One curve point per scenario, at ``xs``, from each method's interval
-    at its CLI defaults.
-
-    Row (point, rep) is replication ``rep`` of that point's scenario.  The
-    rows run in order, at most ``_BLOCK`` values at a time, and the first
-    row the detectors cannot take raises.  A run of consecutive scenarios
-    with equal (n, master_seed) draws each replication once for the whole
-    run; a lone scenario draws block by block.
-    """
+    """One curve point per scenario, at ``xs``; each statistic is one
+    reduction along the replications of its run's :func:`_counts`."""
     points = []
-    for (n, seed), run in groupby(zip(scenarios, xs),
-                                  key=lambda sx: (sx[0].n, sx[0].master_seed)):
-        run = list(run)
-        reps = [scn.reps for scn, _ in run]
-        point = np.repeat(np.arange(len(run)), reps)
-        rep = np.concatenate([np.arange(k) for k in reps])
-        mix = np.array([(*scn.target, *scn.contaminant, n - scn.n_contaminants)
-                        for scn, _ in run])
-        shared = _draws(n, seed, range(max(reps))) if len(run) > 1 else None
-        # per method and row: values flagged, contaminants flagged
-        flagged = np.empty((2, len(SIM_METHODS), len(rep)), dtype=np.int64)
-        step = max(1, _BLOCK // n)
-        for b in range(0, len(rep), step):
-            r = rep[b:b + step]
-            z = _draws(n, seed, r.tolist()) if shared is None else shared[r]
-            mu_f, sd_f, mu_g, sd_g, cut = mix[point[b:b + step]].T[..., None]
-            tail = np.arange(n) >= cut
-            with np.errstate(over="ignore"):
-                values = np.where(tail, mu_g + sd_g * z, mu_f + sd_f * z)
-            # the sorted values a Sample would hold; NaN sorts last
-            v = np.sort(values, axis=-1, kind="stable")
-            finite = np.isfinite(v[:, 0]) & np.isfinite(v[:, -1])
-            if not finite.all():
-                i = int(finite.argmin())
-                if i:  # the scan raises first if an earlier span overflows
-                    _two_sided(v[:i], c)
-                raise ValueError(f"non-finite value at position "
-                                 f"{np.isfinite(v[i]).argmin()}")
-            for j, (low, high) in enumerate((
-                    _two_sided(v, c)[:2], _fences(v, 1.5),
-                    _mad_interval(v, 3.0, MAD_CONSISTENCY))):
-                out = _outside(values, low[:, None], high[:, None])
-                flagged[:, j, b:b + step] = out.sum(-1), (out & tail).sum(-1)
-        stop = 0
-        for scn, x in run:
-            detected, found = flagged[..., stop:stop + scn.reps]
-            stop += scn.reps
-            pct = [100.0 * d / n for d in detected]
-            m_cont = scn.n_contaminants
-            points.append(CurvePoint(
-                x=x,
-                detected={m: float(p.mean())
-                          for m, p in zip(SIM_METHODS, pct)},
-                stderr={m: float(p.std(ddof=1) / math.sqrt(scn.reps))
-                        if scn.reps > 1 else 0.0
-                        for m, p in zip(SIM_METHODS, pct)},
-                recall={m: float((100.0 * f / m_cont).mean()) if m_cont
-                        else None for m, f in zip(SIM_METHODS, found)}))
+    for (n, _, reps), group in groupby(zip(scenarios, xs), key=lambda sx: (
+            sx[0].n, sx[0].master_seed, sx[0].reps)):
+        run, run_xs = zip(*group)
+        detected, found = _counts(run, c)
+        m_cont = np.array([scn.n_contaminants for scn in run])
+        pct = 100.0 * detected / n
+        # (point, statistic, method); one replication has no spread
+        stats = np.stack((
+            pct.mean(-1), pct.std(-1, ddof=int(reps > 1)) / math.sqrt(reps),
+            (100.0 * found / np.maximum(m_cont, 1)[:, None]).mean(-1)), 1).T
+        for x, m, (d, s, r) in zip(run_xs, m_cont, stats.tolist()):
+            points.append(CurvePoint(x, *(dict(zip(SIM_METHODS, v)) for v in
+                                          (d, s, r if m else [None] * len(r)))))
     return points
 
 
@@ -200,13 +197,13 @@ def breakdown_curve(scenarios: Sequence[SimScenario],
 
     Each scenario becomes one curve point at x = 100 * contamination.
     Replication substreams depend only on (master_seed, rep), so reruns
-    are bit-identical, and consecutive scenarios with equal n and
-    master_seed share their draws: each replication's standard-normal
-    row is drawn once and reused at every sweep position (common random
-    numbers).  The (point, rep) rows run in blocks of a fixed number of
-    values, so memory holds one block and the sweep's draws.  At paper
-    scale (n=500, reps=1000) a fig1a sweep takes about 3 s on one core of
-    a 2-core VM, against 14.5 s for a loop over replications.
+    are bit-identical, and consecutive scenarios with equal n,
+    master_seed and reps share their draws: each replication's
+    standard-normal row is drawn once and reused at every sweep position
+    (common random numbers).  Rows run in blocks of a fixed number of
+    values, so memory holds one block, the draws and the counts.  At
+    paper scale (n=500, reps=1000) a fig1a sweep takes about 4 s on one
+    core of a 2-core VM, against 14.5 s for a loop over replications.
     """
     return _curve(scenarios, [100.0 * scn.contamination for scn in scenarios],
                   sens.threshold_c)

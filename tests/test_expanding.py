@@ -1,5 +1,7 @@
 """Expanding-detector tests, including the independent two-sided oracle."""
+import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +224,24 @@ def test_two_sided_majority_guarantee():
         det = detect_two_sided(Sample.from_iterable(values),
                                Sensitivity.from_threshold(rng.uniform(0.05, 2)))
         assert det.n_outliers <= n - (n // 2 + 1)
+
+
+def test_scores_near_the_largest_double_equal_scaled_copies():
+    # 3 * (1.1e308 - 0.3e308) overflows, though the top score is 1.41 < c
+    base = [0.0, 0.3e308, 0.6e308, 1.7e308]
+    for detect in (detect_high_side, detect_two_sided):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [(k, detect(Sample.from_iterable(
+                [math.ldexp(x, -k) for x in base]), SENS))
+                for k in (0, 1, 1000)]
+        assert runs[0][1].trace
+        for k, det in runs:
+            assert det.outlier_indices == runs[0][1].outlier_indices == ()
+            assert [(r.index, r.side, math.ldexp(r.gap, k),
+                     math.ldexp(r.max_prev, k), r.er, r.ihr, r.iir,
+                     r.accepted) for r in det.trace] == [
+                tuple(r) for r in runs[0][1].trace]
 
 
 # --- affine equivariance --------------------------------------------------

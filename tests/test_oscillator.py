@@ -304,7 +304,8 @@ def random_partner_graph(rng, n):
 
 
 def test_cluster_all_equals_reference_loop():
-    # n 1-25 puts the last point on every bit of the last packed byte
+    # n 1-25 runs from the one-point graph up, so empty partner sets,
+    # all-silent graphs and ties between equal-size SCCs all occur
     rng = random.Random(20261018)
     for _ in range(2000):
         graph = random_partner_graph(rng, rng.randint(1, 25))
@@ -340,10 +341,16 @@ def adversarial_links(n):
     cycled = tournament.copy()  # a 2-cycle at the source
     cycled[1, 0] = True
     bipartite = (i[:, None] < n // 2) & (i >= n // 2)
+    # a 2-cycle feeding a ring of the rest: the ring wins its points, and
+    # the 2-cycle's cluster is never right, as its reach leaks into the ring
+    leak = np.zeros((n, n), dtype=bool)
+    leak[[0, 1, 1], [1, 0, 2]] = True
+    leak[i[2:], np.roll(i[2:], -1)] = True
     return [("path", path), ("reverse path", path.T), ("ring", ring),
             ("chain of 2-cycles", pairs), ("tournament", tournament),
             ("tournament with a 2-cycle", cycled),
-            ("complete bipartite DAG", bipartite)]
+            ("complete bipartite DAG", bipartite),
+            ("2-cycle leaking into a ring", leak)]
 
 
 @pytest.mark.parametrize("name,link", adversarial_links(200))

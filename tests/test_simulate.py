@@ -204,6 +204,11 @@ def test_block_size_does_not_change_curves(monkeypatch, rows):
     monkeypatch.setattr(simulate, "_BLOCK", rows * 40)
     assert (breakdown_curve(scenarios, sens),
             pure_normal_curve([5, 40], reps=6, master_seed=3)) == default
+    # equal (n, master_seed) but ragged reps: each reps value is its own run
+    ragged = [SimScenario(n=12, contamination=f, reps=k, master_seed=5)
+              for f, k in ((0.0, 3), (0.25, 3), (0.1, 6), (0.3, 1), (0.2, 3))]
+    assert breakdown_curve(ragged, sens) == [
+        sweep_point_loop(s, 100.0 * s.contamination, sens) for s in ragged]
 
 
 def test_blocks_stay_within_the_budget():
