@@ -38,7 +38,11 @@ def _sample_sd(values: np.ndarray, mean: float) -> float:
 
 def _mean_interval(values: np.ndarray, k: float) -> tuple[float, float]:
     """mean -+ k sample standard deviations; OverflowError past a double."""
-    m = fmean(values.tolist())
+    try:
+        m = fmean(values.tolist())
+    except OverflowError:  # the sum overflowed: scale as _sample_sd does
+        _, e = math.frexp(max(-float(values[0]), float(values[-1])))
+        m = math.ldexp(fmean(np.ldexp(values, -e).tolist()), e)
     sd = _sample_sd(values, m)
     low, high = m - k * sd, m + k * sd
     if not (math.isfinite(low) and math.isfinite(high)):
@@ -67,12 +71,16 @@ def tukey_hinges(sample: Sample) -> tuple[float, float]:
 
 def _median(v: np.ndarray) -> np.ndarray:
     """:func:`statistics.median` of each ascending row of ``v`` (rows along
-    the last axis): the middle value, or the mean of the middle two."""
+    the last axis): the middle value, or the mean of the middle two.  Where
+    their sum overflows, a/2 + b/2 (halving is exact there) is that mean."""
     i = v.shape[-1] // 2
     if v.shape[-1] % 2:
         return v[..., i]
+    a, b = v[..., i - 1], v[..., i]
     with np.errstate(over="ignore"):
-        return (v[..., i - 1] + v[..., i]) / 2
+        s = a + b
+    ok = np.isfinite(s)
+    return s / 2 if ok.all() else np.where(ok, s / 2, a / 2 + b / 2)
 
 
 def _hinges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -61,24 +61,20 @@ def _load_sample(args) -> Sample:
     return load_univariate(args.input)
 
 
-def _format_value(x: float) -> str:
-    return f"{x:g}"
-
-
 def _detect_text(det: Detection, sample: Sample, trace: bool) -> str:
     lines = [f"method: {det.method}  "
-             + " ".join(f"{k}={_format_value(v)}" for k, v in det.params.items()),
+             + " ".join(f"{k}={v:g}" for k, v in det.params.items()),
              f"sample: {sample.label or '<stdin>'} (n={sample.n})"]
     if det.degenerate:
         lines.append("degenerate input (zero range): no outliers definable")
     if det.outlier_values:
         lines.append("outliers: "
-                     + ", ".join(_format_value(v) for v in det.outlier_values))
+                     + ", ".join(f"{v:g}" for v in det.outlier_values))
     else:
         lines.append("outliers: none")
     if det.normal_low is not None:
-        lines.append(f"normal interval: [{_format_value(det.normal_low)}, "
-                     f"{_format_value(det.normal_high)}]")
+        lines.append(f"normal interval: [{det.normal_low:g}, "
+                     f"{det.normal_high:g}]")
     if trace and det.trace:
         lines.append("trace (index side gap max_prev iir accepted):")
         for r in det.trace:
@@ -117,7 +113,7 @@ def cmd_compare(args) -> int:
         _emit(to_json({"columns": list(columns), "threshold_c": sens.threshold_c,
                        "rows": matrix}), args.output)
         return 0
-    cells = {name: {m: (",".join(_format_value(v) for v in vals) or "none")
+    cells = {name: {m: (",".join(f"{v:g}" for v in vals) or "none")
                     for m, vals in row.items()}
              for name, row in matrix.items()}
     width = {m: max(len(m), *(len(cells[name][m]) for name in names))
@@ -238,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.4826)
     p.add_argument("--trace", action="store_true",
                    help="print every evaluated gap record")
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("compare", help="method-by-dataset outlier matrix")
     p.add_argument("--datasets", default=",".join(TABLE_DATASETS),
@@ -246,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sensitivity(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="breakdown and false-alarm curves")
     p.add_argument("--scenario", choices=("fig1a", "fig1b", "fig1c", "custom"),
@@ -262,22 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default GAPSENSE_SEED or 0)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cluster", help="resonance clustering of 2-D points")
     add_io(p)
     p.add_argument("--min-partners", type=int, default=3)
     add_sensitivity(p)
-    p.set_defaults(func=cmd_cluster)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  The parser is built once
+    per process, on the first call; ``cmd_*`` is looked up on every call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except UsageError as exc:
         return _fail(USAGE_ERROR, str(exc))
     except (CatalogError, DataFormatError, FileNotFoundError, IsADirectoryError,

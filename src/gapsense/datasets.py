@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from importlib import resources
 from pathlib import Path
 
@@ -69,15 +70,6 @@ def builtin_dataset(name: str) -> Sample | PointSet:
         return _parse_points2d(fh.read().splitlines(), label="ruspini")
 
 
-def _tokens(line: str) -> list[str]:
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return []
-    if "," in line:
-        return [t.strip() for t in line.split(",") if t.strip()]
-    return line.split()
-
-
 def _read_text(path: Path) -> str:
     """The file's text with newlines normalised to ``\\n``; a file that is
     not UTF-8 fails as a data error naming it."""
@@ -87,52 +79,62 @@ def _read_text(path: Path) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _rows(lines: list[str], label: str, width: int = 0) -> list[list[float]]:
+    """The numbers on each line that holds any: comma-separated if it holds
+    a comma, else whitespace-separated; blank and ``#`` lines hold none.
+    ``width`` > 0 requires that many per line, and errors then name the
+    whole row.  An unparsable or non-finite token fails with its line."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        toks = ([] if line.startswith("#") else line.split() if "," not in line
+                else [t.strip() for t in line.split(",") if t.strip()])
+        if not toks:
+            continue
+        where = f"{label}:{lineno}:"
+        if width and len(toks) != width:
+            raise DataFormatError(f"{where} expected {width} columns, got "
+                                  f"{len(toks)}", line=lineno)
+        row = []
+        for tok in toks:
+            try:
+                row.append(float(tok))
+            except ValueError:
+                what = f"{toks!r} as numbers" if width else f"{tok!r} as a number"
+                raise DataFormatError(f"{where} cannot parse {what}",
+                                      line=lineno) from None
+            if not (width or math.isfinite(row[-1])):
+                raise DataFormatError(f"{where} non-finite value {tok!r}", line=lineno)
+        if not all(map(math.isfinite, row)):
+            raise DataFormatError(f"{where} non-finite coordinate", line=lineno)
+        rows.append(row)
+    return rows
+
+
 def load_univariate(path: str | Path) -> Sample:
     """Read one or more finite numbers per line into a sorted Sample.
 
     Each line is comma-separated if it holds a comma, else
     whitespace-separated; blank lines and ``#`` comments are skipped.
     Any unparsable or non-finite token fails with its line number.
+    Text with no ``,`` and no ``#`` is read in one ``split``, which gives the
+    same tokens; an unparsable token or a non-finite sum reads it by line.
     """
     path = Path(path)
-    values: list[float] = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        for tok in _tokens(line):
-            try:
-                x = float(tok)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: cannot parse {tok!r} as a number",
-                    line=lineno) from None
-            if not math.isfinite(x):
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-finite value {tok!r}", line=lineno)
-            values.append(x)
+    text = _read_text(path)
+    values = None
+    if "," not in text and "#" not in text:
+        with suppress(ValueError):
+            values = list(map(float, text.split()))
+    if values is None or not math.isfinite(sum(values)):
+        values = [x for row in _rows(text.split("\n"), str(path)) for x in row]
     if not values:
         raise DataFormatError(f"{path}: no numeric data found")
     return Sample.from_iterable(values, label=str(path))
 
 
 def _parse_points2d(lines: list[str], label: str) -> PointSet:
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(lines, start=1):
-        toks = _tokens(line)
-        if not toks:
-            continue
-        if len(toks) != 2:
-            raise DataFormatError(
-                f"{label}:{lineno}: expected 2 columns, got {len(toks)}",
-                line=lineno)
-        try:
-            x, y = float(toks[0]), float(toks[1])
-        except ValueError:
-            raise DataFormatError(
-                f"{label}:{lineno}: cannot parse {toks!r} as numbers",
-                line=lineno) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DataFormatError(f"{label}:{lineno}: non-finite coordinate",
-                                  line=lineno)
-        rows.append((x, y))
+    rows = _rows(lines, label, width=2)
     if not rows:
         raise DataFormatError(f"{label}: no points found")
     return PointSet.from_iterable(rows, label=label)

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from gapsense import (METHODS, Sample, Sensitivity, boxplot_detect,
                       builtin_dataset, chauvenet_detect, mad_detect,
                       mean_sigma_detect, normal_tail, run_method,
                       tukey_hinges)
+from gapsense.baselines import MAD_CONSISTENCY, _fences, _mad_interval
 
 FIVE = ("rosner", "barnett", "grubbs1", "grubbs3", "cushny")
 
@@ -136,6 +139,45 @@ def test_normal_tail_monotone_and_bounded():
     ps = [normal_tail(z) for z in zs]
     assert all(0 < p <= 1 for p in ps)
     assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+# --- values near the largest double -----------------------------------------
+
+# the middle pairs of both halves, and the whole sum, overflow a double
+HUGE = [0.0] + [0.9e308] * 3 + [0.95e308] * 3 + [1.0e308]
+
+
+def _matches_scaled_data(detect):
+    """``detect`` on HUGE equals ``detect`` on HUGE * 2**-1000, scaled back:
+    power-of-two scaling is exact, so the answers must agree bit for bit."""
+    big = detect(Sample.from_iterable(HUGE))
+    small = detect(Sample.from_iterable([math.ldexp(x, -1000) for x in HUGE]))
+    assert big.outlier_values == (0.0,)
+    assert (big.normal_low, big.normal_high) == (
+        math.ldexp(small.normal_low, 1000), math.ldexp(small.normal_high, 1000))
+
+
+@pytest.mark.parametrize("detect", [boxplot_detect, mad_detect],
+                         ids=["boxplot", "mad"])
+def test_median_of_values_near_the_double_max(detect):
+    _matches_scaled_data(detect)
+
+
+def test_median_rows_keep_their_sums_beside_an_overflowing_row():
+    ordinary = np.array([0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 2.9, 3.3])
+    both = np.array([ordinary, np.sort(HUGE)])
+    for kernel in (lambda v: _fences(v, 1.5),
+                   lambda v: _mad_interval(v, 3.0, MAD_CONSISTENCY)):
+        low, high = kernel(both)
+        assert (low[0], high[0]) == kernel(ordinary)
+        assert np.isfinite([low, high]).all()
+
+
+@pytest.mark.parametrize("detect", [lambda s: mean_sigma_detect(s, 2.0),
+                                    chauvenet_detect],
+                         ids=["mean", "chauvenet"])
+def test_mean_of_values_near_the_double_max(detect):
+    _matches_scaled_data(detect)
 
 
 # --- shared properties --------------------------------------------------------

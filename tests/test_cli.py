@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gapsense import cli
 from gapsense.cli import main
 
 
@@ -365,3 +366,41 @@ def test_cluster_too_few_points_for_floor(capsys, tmp_path):
         assert out == ""
         assert err.startswith("gapsense: error: ")
         assert err.count("\n") == 1
+
+
+# --- one parser per process -------------------------------------------------
+
+CACHED_PARSER_CALLS = [
+    (["detect"], 2), (["nosuch"], 2), (["--help"], 0), (["detect", "--help"], 0),
+    (["--version"], 0), (["detect", "--dataset", "cushny"], 0), (["compare"], 0),
+    (["simulate", "--reps", "2"], 0), (["cluster", "--dataset", "ruspini"], 0),
+]
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    monkeypatch.delenv("GAPSENSE_SEED", raising=False)
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    first, second = ([call(argv) for argv, _ in CACHED_PARSER_CALLS]
+                     for _ in range(2))
+    assert first == second
+    assert [c[0] for c in first] == [code for _, code in CACHED_PARSER_CALLS]
+    assert all(out or err for _, out, err in first)
+    # the command function is looked up per call, not bound to the parser
+    seen = []
+    monkeypatch.setattr(cli, "cmd_detect",
+                        lambda args: seen.append(args.dataset) or 7)
+    assert main(["detect", "--dataset", "cushny"]) == 7
+    assert seen == ["cushny"]
+    assert built == [1]

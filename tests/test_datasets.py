@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapsense import (CatalogError, DataFormatError, PointSet, Sample,
                       builtin_dataset, load_points2d, load_univariate)
-from gapsense.datasets import _UNIVARIATE, CATALOG, TABLE_DATASETS
+from gapsense.datasets import _UNIVARIATE, CATALOG, TABLE_DATASETS, _rows
 
 EMBEDDED = {
     "rosner": (90, 93, 86, 92, 95, 83, 75, 40, 88, 80),
@@ -136,3 +137,64 @@ def test_load_points2d_ids_follow_file_order(tmp_path):
     p.write_text("9,9\n0,0\n")
     ps = load_points2d(p)
     assert ps.points[0].tolist() == [9.0, 9.0]  # id 1 is the first row
+
+
+# --- one-pass reading of plain whitespace files ---------------------------------
+
+number_strategy = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", "+", "-"]),
+              st.from_regex(r"[0-9](_?[0-9]){0,5}", fullmatch=True),
+              st.sampled_from(["", ".", ".5", ".0_25", ".125"]),
+              st.from_regex(r"([eE][+-]?[0-9]{1,2})?", fullmatch=True)))
+separator_strategy = st.sampled_from(
+    ["\t", " ", "\r", "\x0c", "\n", "\n\n", " \n\t\n", "\r\n"])
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(number_strategy, separator_strategy), min_size=1,
+                max_size=30),
+       separator_strategy)
+def test_one_pass_reading_matches_the_per_line_reading(tmp_path_factory,
+                                                        tokens, lead):
+    text = lead + "".join(tok + sep for tok, sep in tokens)
+    p = tmp_path_factory.mktemp("plain") / "vals.txt"
+    p.write_bytes(text.encode("utf-8"))
+    per_line = [x for row in _rows(p.read_text().split("\n"), str(p))
+                for x in row]
+    got = load_univariate(p).values.tolist()
+    assert got == sorted(per_line) == sorted(float(t) for t, _ in tokens)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1\n2\nabc\n", 3, "cannot parse 'abc' as a number"),
+    ("1 2\n\ninf\n", 3, "non-finite value 'inf'"),
+    ("1\n1e400 2\n", 2, "non-finite value '1e400'"),
+    ("1\ninf abc\n", 2, "non-finite value 'inf'"),
+    ("1\x0c2\n3 x4\n", 2, "cannot parse 'x4' as a number"),
+])
+def test_univariate_errors_name_the_token_and_line(tmp_path, text, line,
+                                                   message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(DataFormatError) as exc:
+        load_univariate(p)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{p}:{line}: {message}"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0,0\n1,2,3\n", 2, "expected 2 columns, got 3"),
+    ("1,x\n", 1, "cannot parse ['1', 'x'] as numbers"),
+    ("inf x\n", 1, "cannot parse ['inf', 'x'] as numbers"),
+    ("0 0\n1 inf\n", 2, "non-finite coordinate"),
+    ("# only a comment\n\n", None, "no points found"),
+])
+def test_points2d_errors(tmp_path, text, line, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError) as exc:
+        load_points2d(p)
+    assert exc.value.line == line
+    where = p if line is None else f"{p}:{line}"
+    assert str(exc.value) == f"{where}: {message}"
