@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baselines import METHODS, run_method
+from .baselines import MAD_CONSISTENCY, METHODS, run_method
 from .datasets import (CatalogError, DataFormatError, TABLE_DATASETS,
                        builtin_dataset, load_points2d, load_univariate)
 from .expanding import DEFAULT_THRESHOLD, Detection, Sensitivity
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=3.0,
                    help="multiplier for mean/mad methods")
     p.add_argument("--whisker", type=float, default=1.5)
-    p.add_argument("--b", type=float, default=1.4826)
+    p.add_argument("--b", type=float, default=MAD_CONSISTENCY)
     p.add_argument("--trace", action="store_true",
                    help="print every evaluated gap record")
 

@@ -67,7 +67,7 @@ def builtin_dataset(name: str) -> Sample | PointSet:
     if key in _UNIVARIATE:
         return Sample.from_iterable(_UNIVARIATE[key], label=key)
     with resources.files("gapsense.data").joinpath("ruspini.csv").open() as fh:
-        return _parse_points2d(fh.read().splitlines(), label="ruspini")
+        return _parse_points2d(fh.read(), label="ruspini")
 
 
 def _read_text(path: Path) -> str:
@@ -79,13 +79,15 @@ def _read_text(path: Path) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _rows(lines: list[str], label: str, width: int = 0) -> list[list[float]]:
+def _rows(text: str, label: str, width: int = 0) -> list[list[float]]:
     """The numbers on each line that holds any: comma-separated if it holds
     a comma, else whitespace-separated; blank and ``#`` lines hold none.
-    ``width`` > 0 requires that many per line, and errors then name the
-    whole row.  An unparsable or non-finite token fails with its line."""
+    Lines break at ``\\n`` only, as an editor counts them; any other break
+    of ``str.splitlines()`` is whitespace.  ``width`` > 0 requires that many
+    per line, and errors then name the whole row.  An unparsable or
+    non-finite token fails with its line."""
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         toks = ([] if line.startswith("#") else line.split() if "," not in line
                 else [t.strip() for t in line.split(",") if t.strip()])
@@ -127,14 +129,14 @@ def load_univariate(path: str | Path) -> Sample:
         with suppress(ValueError):
             values = list(map(float, text.split()))
     if values is None or not math.isfinite(sum(values)):
-        values = [x for row in _rows(text.split("\n"), str(path)) for x in row]
+        values = [x for row in _rows(text, str(path)) for x in row]
     if not values:
         raise DataFormatError(f"{path}: no numeric data found")
     return Sample.from_iterable(values, label=str(path))
 
 
-def _parse_points2d(lines: list[str], label: str) -> PointSet:
-    rows = _rows(lines, label, width=2)
+def _parse_points2d(text: str, label: str) -> PointSet:
+    rows = _rows(text, label, width=2)
     if not rows:
         raise DataFormatError(f"{label}: no points found")
     return PointSet.from_iterable(rows, label=label)
@@ -143,4 +145,4 @@ def _parse_points2d(lines: list[str], label: str) -> PointSet:
 def load_points2d(path: str | Path) -> PointSet:
     """Read a two-column numeric file into a PointSet (ids follow file order)."""
     path = Path(path)
-    return _parse_points2d(_read_text(path).splitlines(), label=str(path))
+    return _parse_points2d(_read_text(path), label=str(path))

@@ -91,7 +91,9 @@ def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
     Returns ``(link, radius)``: ``link[i, j]`` holds when point j is a
     partner of point i, that is nearer than ``radius[i]`` (never i itself).
     Rows are sorted and scanned in blocks of at most 2^14 distances (one
-    row when n is larger), so the scan's scratch memory stays bounded.
+    row when n is larger), so the scan's scratch memory stays bounded.  A
+    non-zero diagonal or a negative or NaN distance raises ValueError, an
+    infinite one OverflowError.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -102,10 +104,16 @@ def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
     if n < min_partners + 1:
         raise ValueError(f"need at least {min_partners + 1} points for "
                          f"min_partners={min_partners}, got {n}")
+    if np.diagonal(dist).any():
+        raise ValueError("distance matrix needs a zero diagonal")
     radius = np.full(n, math.inf)
     step = max(1, _BLOCK // n)
     for lo in range(0, n, step):
         series = np.sort(dist[lo:lo + step], axis=1)
+        bad = (series[:, 0] < 0.0) | np.isnan(series[:, -1])
+        if bad.any():
+            raise ValueError(f"negative or NaN distance in row "
+                             f"{lo + bad.argmax() + 1}")
         span = series[:, -1:]
         flat = span <= 0.0
         # gap t (2..n-1) is d[:, t-1]; the nearest-neighbor gap seeds the
@@ -145,46 +153,6 @@ class ClusterPartition:
         return len(self.summary)
 
 
-def _scc_ids(link: np.ndarray) -> np.ndarray:
-    """Strongly connected component of every point, by Kosaraju-Sharir.
-
-    Components are numbered in topological order of the condensation: a
-    link never leads from a component to one with a smaller number.
-    """
-    n = len(link)
-    # depth-first finishing order; each step descends to the first fresh
-    # partner of the point on top, or finishes it (2n steps in all)
-    fresh = np.ones(n, dtype=bool)
-    finished = []
-    for root in range(n):
-        if not fresh[root]:
-            continue
-        fresh[root] = False
-        path = [root]
-        while path:
-            step = link[path[-1]] & fresh
-            nxt = step.argmax()
-            if step[nxt]:
-                fresh[nxt] = False
-                path.append(nxt)
-            else:
-                finished.append(path.pop())
-    # breadth-first along reversed links from the latest finisher not yet
-    # placed: each search collects one component, sources first
-    into = np.ascontiguousarray(link.T)
-    scc = np.full(n, -1)
-    k = 0
-    for root in reversed(finished):
-        if scc[root] >= 0:
-            continue
-        frontier = np.array([root])
-        while frontier.size:
-            scc[frontier] = k
-            frontier = np.flatnonzero(into[frontier].any(axis=0) & (scc < 0))
-        k += 1
-    return scc
-
-
 def cluster_all(link: np.ndarray) -> ClusterPartition:
     """Combine the resonance runs of every seed into one partition.
 
@@ -201,50 +169,68 @@ def cluster_all(link: np.ndarray) -> ClusterPartition:
     when its SCC C has two or more points; every member of C fires the
     same set, C plus all it reaches; and two SCCs never fire the same
     set.  So the set of C gets |C| votes, first from min(C), and a point
-    joins the best SCC that reaches it: the largest, then the smaller
-    min(C).  One pass in topological order pushes each SCC's best rank
-    along its links.  A seed fires exactly its cluster only when its SCC
-    won the cluster and no link leaves it; any other seed's fired set
-    would hold the winner, which would then reach back into the seed.
+    joins the SCC of lowest rank (n - |C|) * n + min(C) (0-based ids)
+    that reaches it; only voters rank below (n - 1) * n.  Kosaraju-Sharir's
+    breadth-first pass collects the SCCs in topological order, and each
+    pushes the best rank that reached it, or its own, along its links.
+    A seed fires exactly its cluster only when its SCC won it and no link
+    leaves it (any other seed's fired set holds the winner, which then
+    reaches back), so a closed cluster of rank r has n - r // n right
+    seeds and an open one none.
     """
     link = np.asarray(link, dtype=bool)
     if link.ndim != 2 or link.shape[0] != link.shape[1]:
         raise ValueError(f"link matrix must be square, got {link.shape}")
     n = link.shape[0]
-    scc = _scc_ids(link)
-    size = np.bincount(scc)
-    # SCCs by rank: most votes, then smallest first voter; the silent
-    # singletons rank after every voter
-    order = np.lexsort((np.unique(scc, return_index=True)[1], -size))
-    voters = np.count_nonzero(size > 1)
-    # best[p]: the best rank reaching p; every SCC has heard from all
-    # that reach it before it pushes its own best along its links
-    best = np.argsort(order)[scc]
-    for members in np.split(np.argsort(scc, kind="stable"),
-                            np.cumsum(size))[:-1]:
-        r = best[members].min()
+    # depth-first finishing order; each step descends to the first fresh
+    # partner of the point on top, or finishes it (2n steps in all)
+    fresh = np.ones(n, dtype=bool)
+    finished = []
+    for root in range(n):
+        path = [root] if fresh[root] else []
+        fresh[root] = False
+        while path:
+            step = link[path[-1]] & fresh
+            nxt = step.argmax()
+            if step[nxt]:
+                fresh[nxt] = False
+                path.append(nxt)
+            else:
+                finished.append(path.pop())
+    # breadth-first along reversed links from the latest finisher not yet
+    # placed: each search collects one SCC, after every SCC that reaches it
+    fresh[:] = True
+    best = np.full(n, n * n)  # above every rank
+    silent_ids = set()
+    for root in reversed(finished):
+        if not fresh[root]:
+            continue
+        members = frontier = np.array([root])
+        while frontier.size:
+            fresh[frontier] = False
+            frontier = np.flatnonzero(link[:, frontier].any(axis=1) & fresh)
+            members = np.concatenate((members, frontier))
+        if len(members) == 1:
+            silent_ids.add(int(root) + 1)
+        r = min(best[members].min(), (n - len(members)) * n + members.min())
         # an SCC's members link to each other, so they take r here too
         best[link[members].any(axis=0) & (best > r)] = r
 
-    labels: list[int | None] = [None] * n
+    # cluster ids by rank, numbered by their smallest member
+    voted = best[best < (n - 1) * n].tolist()
+    cids = {r: cid for cid, r in enumerate(dict.fromkeys(voted), start=1)}
     summaries = []
-    silent_ids = frozenset((np.flatnonzero(size[scc] == 1) + 1).tolist())
-    # clusters numbered by their smallest member
-    ranks = best[best < voters]
-    _, first = np.unique(ranks, return_index=True)
-    for cid, r in enumerate(ranks[np.sort(first)], start=1):
+    for r, cid in cids.items():
         idx = np.flatnonzero(best == r)
         members = tuple((idx + 1).tolist())
-        for p in members:
-            labels[p - 1] = cid
         closed = (best[link[idx].any(axis=0)] == r).all()
-        right_count = int(size[order[r]]) if closed else 0
+        right_count = n - r // n if closed else 0
         summaries.append(ClusterSummary(
             cluster_id=cid, members=members, right_count=right_count,
             silent_members=tuple(p for p in members if p in silent_ids),
             probability=right_count / len(members)))
-    return ClusterPartition(labels=tuple(labels), silent_ids=silent_ids,
-                            summary=tuple(summaries))
+    return ClusterPartition(tuple(map(cids.get, best.tolist())),
+                            frozenset(silent_ids), tuple(summaries))
 
 
 def cluster_points(points: PointSet,

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from gapsense import cli
+from gapsense.baselines import MAD_CONSISTENCY
 from gapsense.cli import main
 
 
@@ -404,3 +405,8 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert main(["detect", "--dataset", "cushny"]) == 7
     assert seen == ["cushny"]
     assert built == [1]
+
+
+def test_mad_b_defaults_to_the_consistency_constant():
+    args = cli.build_parser().parse_args(["detect", "--dataset", "cushny"])
+    assert args.b == MAD_CONSISTENCY

@@ -160,8 +160,7 @@ def test_one_pass_reading_matches_the_per_line_reading(tmp_path_factory,
     text = lead + "".join(tok + sep for tok, sep in tokens)
     p = tmp_path_factory.mktemp("plain") / "vals.txt"
     p.write_bytes(text.encode("utf-8"))
-    per_line = [x for row in _rows(p.read_text().split("\n"), str(p))
-                for x in row]
+    per_line = [x for row in _rows(p.read_text(), str(p)) for x in row]
     got = load_univariate(p).values.tolist()
     assert got == sorted(per_line) == sorted(float(t) for t, _ in tokens)
 
@@ -198,3 +197,20 @@ def test_points2d_errors(tmp_path, text, line, message):
     assert exc.value.line == line
     where = p if line is None else f"{p}:{line}"
     assert str(exc.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_both_loaders_break_lines_at_newline_only(tmp_path, sep):
+    # str.splitlines() also breaks at these; both loaders read them as
+    # whitespace inside a line, so line numbers match an editor's
+    p = tmp_path / "sep.txt"
+    p.write_text(f"1 2{sep}3 4\n", encoding="utf-8")
+    assert load_univariate(p).values.tolist() == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(DataFormatError, match=":1: expected 2 columns, got 4"):
+        load_points2d(p)
+    p.write_text(f"1 1\n2 2{sep}\nabc d\n", encoding="utf-8")
+    for load in (load_univariate, load_points2d):
+        with pytest.raises(DataFormatError, match=":3: cannot parse") as exc:
+            load(p)
+        assert exc.value.line == 3

@@ -188,6 +188,27 @@ def test_partner_links_overflow_in_a_later_block(monkeypatch, rows):
         partner_links(dist, SENS, 3)
 
 
+def test_partner_links_rejects_a_non_zero_diagonal():
+    # from a user-built matrix, a diagonal of 50 would silently change
+    # the links of 7 of the 75 Ruspini rows (33 radii)
+    dist = pairwise_distances(builtin_dataset("ruspini"))
+    np.fill_diagonal(dist, 50.0)
+    with pytest.raises(ValueError, match="needs a zero diagonal"):
+        partner_links(dist, SENS, 3)
+
+
+@pytest.mark.parametrize("value, error, match", [
+    (-1.0, ValueError, "negative or NaN distance in row 41"),
+    (math.nan, ValueError, "negative or NaN distance in row 41"),
+    (math.inf, OverflowError, "span must be finite"),
+], ids=["negative", "nan", "inf"])
+def test_partner_links_rejects_a_bad_distance(value, error, match):
+    dist = pairwise_distances(builtin_dataset("ruspini"))
+    dist[40, 7] = value
+    with pytest.raises(error, match=match):
+        partner_links(dist, SENS, 3)
+
+
 def test_ruspini_point_70_partners_stay_in_bottom_group():
     rus = builtin_dataset("ruspini")
     link, _ = partner_links(pairwise_distances(rus), SENS, min_partners=3)
@@ -225,6 +246,16 @@ def test_resonate_chain_without_return_is_silent():
     assert part.silent_ids == {1}
     assert part.labels == (None, 1, 1)
     assert part.summary[0].members == (2, 3)
+
+
+def test_partition_holds_python_ints():
+    # point 3 is reached by a depth-first step, not by the outer loop
+    part = cluster_all(mk_link({1: {2}, 2: {1, 3}, 3: set()}))
+    assert part.silent_ids == {3}
+    (s,) = part.summary
+    assert s.members == (1, 2, 3) and s.right_count == 2
+    assert {type(x) for x in (*part.silent_ids, *part.labels, *s.members,
+                              s.cluster_id, s.right_count)} == {int}
 
 
 def test_self_links_are_ignored():
@@ -312,18 +343,22 @@ def test_cluster_all_equals_reference_loop():
         part = cluster_all(mk_link(graph))
         assert part == cluster_all_loop(mk_partner_sets(graph)), graph
         assert part == cluster_all_warshall(mk_link(graph)), graph
+    # at min_partners 1-5, Ruspini points 20, 47 and 48 find no border
+    # and link to all 74 others, which floods every closure (criterion 5)
+    inputs = [("ruspini", builtin_dataset("ruspini").points, range(1, 6))]
     gen = np.random.default_rng(20261018)
     for n in (60, 90, 120):
         blobs = np.repeat([[0, 0], [25, 0], [0, 25]], n // 3, axis=0)
-        for pts in (blobs + gen.normal(0, 1, blobs.shape),
-                    gen.random((n, 2))):
-            dist = pairwise_distances(PointSet.from_iterable(pts.tolist()))
-            for mp in (1, 3, 5):
-                link, radius = partner_links(dist, SENS, mp)
-                part = cluster_all(link)
-                assert part == cluster_all_loop(
-                    as_partner_sets(link, radius)), (n, mp)
-                assert part == cluster_all_warshall(link), (n, mp)
+        inputs += [(n, blobs + gen.normal(0, 1, blobs.shape), (1, 3, 5)),
+                   (n, gen.random((n, 2)), (1, 3, 5))]
+    for name, pts, mps in inputs:
+        dist = pairwise_distances(PointSet.from_iterable(pts.tolist()))
+        for mp in mps:
+            link, radius = partner_links(dist, SENS, mp)
+            part = cluster_all(link)
+            assert part == cluster_all_loop(
+                as_partner_sets(link, radius)), (name, mp)
+            assert part == cluster_all_warshall(link), (name, mp)
 
 
 def adversarial_links(n):
