@@ -9,8 +9,7 @@ command-line interface (``gapsense``).
 """
 
 from .baselines import (METHODS, boxplot_detect, chauvenet_detect,
-                        mad_detect, mean_sigma_detect, normal_tail,
-                        run_method, tukey_hinges)
+                        mad_detect, mean_sigma_detect, run_method)
 from .datasets import (CatalogError, DataFormatError, builtin_dataset,
                        load_points2d, load_univariate)
 from .expanding import (DEFAULT_SENSITIVITY, DEFAULT_THRESHOLD, Detection,
@@ -22,14 +21,14 @@ from .oscillator import (ClusterPartition, ClusterSummary, PointSet,
                          partner_links)
 from .samples import GapSeries, Sample, gap_series
 from .simulate import (CurvePoint, SimScenario, breakdown_curve,
-                       contaminated_sample, contamination_sweep,
-                       polar_normals, pure_normal_curve, substream_seed)
+                       contamination_sweep, polar_normals, pure_normal_curve,
+                       substream_seed)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "METHODS", "boxplot_detect", "chauvenet_detect", "mad_detect",
-    "mean_sigma_detect", "normal_tail", "run_method", "tukey_hinges",
+    "mean_sigma_detect", "run_method",
     "CatalogError", "DataFormatError", "builtin_dataset", "load_points2d",
     "load_univariate",
     "DEFAULT_SENSITIVITY", "DEFAULT_THRESHOLD", "Detection", "IirRecord",
@@ -38,7 +37,6 @@ __all__ = [
     "ClusterPartition", "ClusterSummary", "PointSet", "cluster_all",
     "cluster_points", "pairwise_distances", "partner_links",
     "GapSeries", "Sample", "gap_series",
-    "CurvePoint", "SimScenario", "breakdown_curve", "contaminated_sample",
-    "contamination_sweep", "polar_normals", "pure_normal_curve",
-    "substream_seed",
+    "CurvePoint", "SimScenario", "breakdown_curve", "contamination_sweep",
+    "polar_normals", "pure_normal_curve", "substream_seed",
 ]

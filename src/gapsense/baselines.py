@@ -60,15 +60,6 @@ def mean_sigma_detect(sample: Sample, k: float = 3.0) -> Detection:
                                *_mean_interval(sample.values, k))
 
 
-def tukey_hinges(sample: Sample) -> tuple[float, float]:
-    """Quartiles as medians of the two halves of the sorted data.
-
-    Each half includes the middle value when n is odd (hinge convention).
-    """
-    q1, q3 = _hinges(sample.values)
-    return float(q1), float(q3)
-
-
 def _median(v: np.ndarray) -> np.ndarray:
     """:func:`statistics.median` of each ascending row of ``v`` (rows along
     the last axis): the middle value, or the mean of the middle two.  Where
@@ -84,6 +75,9 @@ def _median(v: np.ndarray) -> np.ndarray:
 
 
 def _hinges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quartiles of each ascending row of ``v`` as the medians of its two
+    halves; each half includes the middle value when n is odd (hinge
+    convention)."""
     n = v.shape[-1]
     if n < 2:
         raise ValueError("hinges need at least two values")
@@ -138,13 +132,6 @@ def mad_detect(sample: Sample, k: float = 3.0,
         raise ValueError("k and b must be positive")
     return _interval_detection(sample, "mad", {"k": k, "b": b},
                                *_mad_interval(sample.values, k, b))
-
-
-def normal_tail(z: float) -> float:
-    """Two-sided standard-normal tail probability P(|Z| > z) for z >= 0."""
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
-    return math.erfc(z / math.sqrt(2.0))
 
 
 def chauvenet_detect(sample: Sample) -> Detection:

@@ -1,9 +1,10 @@
 """Command-line front end: detect, compare, simulate, cluster.
 
-Exit codes: 0 success, 2 usage error, 3 data or I/O error or numeric
-overflow.
-Reports go to stdout, diagnostics to stderr.  GAPSENSE_SEED provides a
-fallback master seed when --seed is not given.
+Each ``cmd_*`` turns parsed arguments into report text; :func:`main`
+writes every report, to stdout or to ``--output`` (UTF-8, LF line ends),
+and diagnostics go to stderr.  Exit codes: 0 success, 2 usage error, 3
+data error, numeric overflow or any OS error reading or writing a file.
+GAPSENSE_SEED provides a fallback master seed when --seed is not given.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ USAGE_ERROR = 2
 DATA_ERROR = 3
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad option value or combination of options (exit 2)."""
 
 
 def _fail(code: int, message: str) -> int:
@@ -45,20 +46,16 @@ def _sensitivity(args) -> Sensitivity:
     return Sensitivity.from_threshold(DEFAULT_THRESHOLD)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
-
-
-def _load_sample(args) -> Sample:
-    if args.dataset:
-        data = builtin_dataset(args.dataset)
-        if not isinstance(data, Sample):
-            raise UsageError(f"dataset {args.dataset!r} is not univariate")
-        return data
-    return load_univariate(args.input)
+def _load(name: str | None, path: str | None, kind: type) -> Sample | PointSet:
+    """The bundled dataset ``name``, else the file at ``path``, as a
+    ``kind`` (Sample or PointSet)."""
+    if name is None:
+        return load_univariate(path) if kind is Sample else load_points2d(path)
+    data = builtin_dataset(name)
+    if not isinstance(data, kind):
+        raise UsageError(f"dataset {name!r} is not "
+                         + ("univariate" if kind is Sample else "a point set"))
+    return data
 
 
 def _detect_text(det: Detection, sample: Sample, trace: bool) -> str:
@@ -83,52 +80,42 @@ def _detect_text(det: Detection, sample: Sample, trace: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_detect(args) -> int:
-    sample = _load_sample(args)
+def cmd_detect(args) -> str:
+    sample = _load(args.dataset, args.input, Sample)
     det = run_method(args.method, sample, _sensitivity(args), args.k,
                      args.whisker, args.b)
     if args.format == "json":
-        _emit(to_json(detection_to_dict(det)), args.output)
-    elif args.format == "csv":
-        _emit(detection_to_csv(det), args.output)
-    else:
-        _emit(_detect_text(det, sample, args.trace), args.output)
-    return 0
+        return to_json(detection_to_dict(det))
+    if args.format == "csv":
+        return detection_to_csv(det)
+    return _detect_text(det, sample, args.trace)
 
 
-def cmd_compare(args) -> int:
-    names = [n.strip() for n in args.datasets.split(",") if n.strip()]
+def cmd_compare(args) -> str:
+    # a repeated name is one row, as in the JSON dict of rows
+    names = list(dict.fromkeys(n.strip() for n in args.datasets.split(",")
+                               if n.strip()))
     if not names:
         raise UsageError("no datasets given")
     sens = _sensitivity(args)
     columns = ("mean", "boxplot", "mad", "chauvenet", "iir")
     matrix: dict[str, dict[str, list[float]]] = {}
     for name in names:
-        data = builtin_dataset(name)
-        if not isinstance(data, Sample):
-            raise UsageError(f"dataset {name!r} is not univariate")
+        data = _load(name, None, Sample)
         matrix[name] = {m: list(run_method(m, data, sens).outlier_values)
                         for m in columns}
     if args.format == "json":
-        _emit(to_json({"columns": list(columns), "threshold_c": sens.threshold_c,
-                       "rows": matrix}), args.output)
-        return 0
-    cells = {name: {m: (",".join(f"{v:g}" for v in vals) or "none")
-                    for m, vals in row.items()}
-             for name, row in matrix.items()}
-    width = {m: max(len(m), *(len(cells[name][m]) for name in names))
-             for m in columns}
-    name_w = max(len(n) for n in names)
-    header = " ".join([" " * name_w]
-                      + [m.ljust(width[m]) for m in columns])
-    lines = [header]
-    for name in names:
-        lines.append(" ".join([name.ljust(name_w)]
-                              + [cells[name][m].ljust(width[m]) for m in columns]))
+        return to_json({"columns": list(columns),
+                        "threshold_c": sens.threshold_c, "rows": matrix})
+    rows = [["", *columns]] + [
+        [name, *(",".join(f"{v:g}" for v in row[m]) or "none" for m in columns)]
+        for name, row in matrix.items()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = [" ".join(cell.ljust(w) for cell, w in zip(row, widths))
+             for row in rows]
     lines.append("(chauvenet column is an extension beyond the classical "
                  "comparison set)")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _int(text: str, name: str) -> int:
@@ -146,11 +133,19 @@ def _master_seed(args) -> int:
     return 0 if env is None else _int(env, "GAPSENSE_SEED")
 
 
-def cmd_simulate(args) -> int:
+#: The scenarios that each scenario-specific ``simulate`` option applies to.
+_SCENARIO_OPTIONS = {"sizes": ("fig1c",), "g_mean": ("custom",),
+                     "n": ("fig1a", "fig1b", "custom"),
+                     "g_sd": ("fig1a", "fig1b", "custom")}
+
+
+def cmd_simulate(args) -> str:
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
-    if args.sizes is not None and args.scenario != "fig1c":
-        raise UsageError("--sizes applies only to --scenario fig1c")
+    for dest, scenarios in _SCENARIO_OPTIONS.items():
+        if getattr(args, dest) is not None and args.scenario not in scenarios:
+            raise UsageError(f"--{dest.replace('_', '-')} applies only to "
+                             f"--scenario {', '.join(scenarios)}")
     if args.sizes is not None and not args.sizes.strip():
         raise UsageError("--sizes needs at least one sample size")
     seed = _master_seed(args)
@@ -161,30 +156,23 @@ def cmd_simulate(args) -> int:
     else:
         g_mean = {"fig1a": 10.0, "fig1b": 5.0}.get(args.scenario, args.g_mean)
         scenarios = contamination_sweep(
-            n=args.n, contaminant=(g_mean, args.g_sd),
+            n=500 if args.n is None else args.n,
+            contaminant=(10.0 if g_mean is None else g_mean,
+                         1.0 if args.g_sd is None else args.g_sd),
             reps=args.reps, master_seed=seed)
         points = breakdown_curve(scenarios)
     if args.format == "json":
-        _emit(to_json(curves_to_dicts(points)), args.output)
-    else:
-        _emit(curves_to_csv(points), args.output)
-    return 0
+        return to_json(curves_to_dicts(points))
+    return curves_to_csv(points)
 
 
-def cmd_cluster(args) -> int:
-    if args.dataset:
-        data = builtin_dataset(args.dataset)
-        if not isinstance(data, PointSet):
-            raise UsageError(f"dataset {args.dataset!r} is not a point set")
-    else:
-        data = load_points2d(args.input)
+def cmd_cluster(args) -> str:
+    data = _load(args.dataset, args.input, PointSet)
     part = cluster_points(data, _sensitivity(args), args.min_partners)
     if args.format == "json":
-        _emit(to_json(partition_to_dict(part)), args.output)
-        return 0
+        return to_json(partition_to_dict(part))
     if args.format == "csv":
-        _emit(partition_to_csv(part), args.output)
-        return 0
+        return partition_to_csv(part)
     lines = [f"points: {data.n} ({data.label or args.input})",
              f"clusters: {part.n_clusters}"]
     for s in part.summary:
@@ -196,8 +184,7 @@ def cmd_cluster(args) -> int:
     lines.append(f"silent seeds: {sorted(part.silent_ids) or '-'}")
     if unassigned:
         lines.append(f"unassigned points: {unassigned}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="breakdown and false-alarm curves")
     p.add_argument("--scenario", choices=("fig1a", "fig1b", "fig1c", "custom"),
                    default="custom")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--g-mean", type=float, default=10.0,
+    p.add_argument("--n", type=int)
+    p.add_argument("--g-mean", type=float,
                    help="contaminant mean (custom scenario)")
-    p.add_argument("--g-sd", type=float, default=1.0)
+    p.add_argument("--g-sd", type=float)
     p.add_argument("--sizes", help="comma-separated sample sizes (fig1c "
                    "only; default 10,50,100,500,1000,5000,10000)")
     p.add_argument("--reps", type=int, default=100)
@@ -269,21 +256,23 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  The parser is built once
-    per process, on the first call; ``cmd_*`` is looked up on every call."""
+    """Run one command, write its report, return the exit code.  The
+    parser is built on the first call; ``cmd_*`` is looked up per call."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return globals()["cmd_" + args.command](args)
-    except UsageError as exc:
-        return _fail(USAGE_ERROR, str(exc))
-    except (CatalogError, DataFormatError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+        report = globals()["cmd_" + args.command](args)
+        if args.output:
+            Path(args.output).write_text(report, encoding="utf-8", newline="\n")
+        else:
+            sys.stdout.write(report)
+        return 0
+    except (CatalogError, DataFormatError, OSError) as exc:
         return _fail(DATA_ERROR, str(exc))
     except ValueError as exc:
-        # bad parameter values (K/c out of range, undersized samples)
+        # usage errors, bad values (K/c out of range, undersized samples)
         return _fail(USAGE_ERROR, str(exc))
     except ArithmeticError as exc:
         return _fail(DATA_ERROR, f"numeric overflow: {exc}")

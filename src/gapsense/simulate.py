@@ -101,19 +101,6 @@ def _draws(n: int, master_seed: int, reps) -> np.ndarray:
     return out
 
 
-def contaminated_sample(scn: SimScenario, rep: int) -> np.ndarray:
-    """Raw draws for one replication: target values first, contaminants last."""
-    m = scn.n_contaminants
-    z = _draws(scn.n, scn.master_seed, [rep])[0]
-    values = np.empty(scn.n)
-    mu_f, sd_f = scn.target
-    mu_g, sd_g = scn.contaminant
-    with np.errstate(over="ignore"):  # the detectors reject what overflows
-        values[:scn.n - m] = mu_f + sd_f * z[:scn.n - m]
-        values[scn.n - m:] = mu_g + sd_g * z[scn.n - m:]
-    return values
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """Average detection results at one sweep position.

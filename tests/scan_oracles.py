@@ -9,7 +9,8 @@ graph, while :func:`cluster_all_loop` runs one set-based resonance per
 seed and counts votes point by point, and :func:`cluster_all_warshall`
 votes on the rows of one transitive closure by Warshall's loop.  The simulation reads each method's normal
 interval off blocks of sorted rows, while :func:`sweep_point_loop`
-builds a Sample and runs every detector in full, once per replication;
+builds a Sample and runs every detector in full, once per replication,
+on the draws of :func:`contaminated_sample`;
 :func:`fences_oracle` and :func:`mad_interval_oracle` take the baseline
 intervals from :func:`statistics.median` of Python lists.
 """
@@ -20,8 +21,8 @@ from statistics import median
 import numpy as np
 
 from gapsense import (ClusterPartition, ClusterSummary, CurvePoint, Detection,
-                      IirRecord, Sample, contaminated_sample, iir_closed_form,
-                      run_method)
+                      IirRecord, Sample, iir_closed_form, run_method)
+from gapsense.simulate import _draws
 
 
 @dataclass(frozen=True)
@@ -371,6 +372,19 @@ def mad_interval_oracle(values, k, b):
     if madn == 0.0:
         return med, med
     return med - k * madn, med + k * madn
+
+
+def contaminated_sample(scn, rep):
+    """Raw draws for one replication: target values first, contaminants last."""
+    m = scn.n_contaminants
+    z = _draws(scn.n, scn.master_seed, [rep])[0]
+    values = np.empty(scn.n)
+    mu_f, sd_f = scn.target
+    mu_g, sd_g = scn.contaminant
+    with np.errstate(over="ignore"):  # the detectors reject what overflows
+        values[:scn.n - m] = mu_f + sd_f * z[:scn.n - m]
+        values[scn.n - m:] = mu_g + sd_g * z[scn.n - m:]
+    return values
 
 
 def sweep_point_loop(scn, x, sens):

@@ -148,6 +148,25 @@ def test_detect_missing_file_is_data_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--input", "--output"])
+def test_path_under_a_file_is_data_error(capsys, tmp_path, flag):
+    # NotADirectoryError, an OSError like the missing file above
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1\n2\n3\n")
+    source = ["--dataset", "cushny"] if flag == "--output" else []
+    code, out, err = run(capsys, "detect", *source, flag, f"{plain}/x")
+    assert (code, out) == (3, "")
+    assert err == ("gapsense: error: [Errno 20] Not a directory: "
+                   f"'{plain}/x'\n")
+
+
+@pytest.mark.parametrize("command", ["detect", "cluster"])
+def test_empty_dataset_name_is_unknown(capsys, command):
+    code, out, err = run(capsys, command, "--dataset", "")
+    assert (code, out) == (3, "")
+    assert err.startswith("gapsense: error: unknown dataset ''; valid names: ")
+
+
 def test_detect_non_utf8_file_is_data_error(capsys, tmp_path):
     p = tmp_path / "latin.txt"
     p.write_bytes(b"1\n2\n\xff3\n")
@@ -186,6 +205,14 @@ def test_compare_text_output(capsys):
     assert "none" in out and "949,951" in out
 
 
+def test_compare_repeated_name_is_one_row(capsys):
+    code, out, _ = run(capsys, "compare", "--datasets", "rosner,cushny,rosner")
+    assert code == 0
+    assert out == run(capsys, "compare", "--datasets", "rosner,cushny")[1]
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] \
+        == ["rosner", "cushny"]
+
+
 def test_compare_unknown_dataset(capsys):
     code, _, err = run(capsys, "compare", "--datasets", "rosner,nosuch")
     assert code == 3
@@ -214,14 +241,26 @@ def test_simulate_env_seed(capsys, monkeypatch):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("scenario", ["custom", "fig1a", "fig1b"])
+# each scenario with the flags that do not apply to it: --sizes outside
+# fig1c, --g-mean outside custom, --n and --g-sd in fig1c
+MISPLACED_FLAGS = {
+    "custom": [("--sizes", "10,20"), ("--sizes", "")],
+    "fig1a": [("--sizes", "10,20"), ("--sizes", ""), ("--g-mean", "3")],
+    "fig1b": [("--sizes", "10,20"), ("--sizes", ""), ("--g-mean", "10")],
+    "fig1c": [("--n", "7"), ("--n", "500"), ("--g-mean", "3"),
+              ("--g-sd", "9")],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(MISPLACED_FLAGS))
 def test_simulate_sizes_outside_fig1c_is_usage_error(capsys, scenario):
-    for sizes in ("10,20", ""):
+    for flag, value in MISPLACED_FLAGS[scenario]:
         code, out, err = run(capsys, "simulate", "--scenario", scenario,
-                             "--sizes", sizes, "--reps", "1")
+                             flag, value, "--reps", "1")
         assert code == 2
         assert out == ""
-        assert "--sizes" in err
+        assert err.startswith(f"gapsense: error: {flag} applies only to "
+                              "--scenario "), (flag, err)
 
 
 def test_simulate_empty_sizes_is_usage_error(capsys):
@@ -401,8 +440,8 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     # the command function is looked up per call, not bound to the parser
     seen = []
     monkeypatch.setattr(cli, "cmd_detect",
-                        lambda args: seen.append(args.dataset) or 7)
-    assert main(["detect", "--dataset", "cushny"]) == 7
+                        lambda args: seen.append(args.dataset) or "seven\n")
+    assert call(["detect", "--dataset", "cushny"]) == (0, "seven\n", "")
     assert seen == ["cushny"]
     assert built == [1]
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapsense import (Detection, Sample, Sensitivity, SimScenario,
-                      breakdown_curve, contaminated_sample,
-                      contamination_sweep, expanding, polar_normals,
-                      pure_normal_curve, simulate, substream_seed)
-from scan_oracles import sweep_point_loop
+                      breakdown_curve, contamination_sweep, expanding,
+                      polar_normals, pure_normal_curve, simulate,
+                      substream_seed)
+from scan_oracles import contaminated_sample, sweep_point_loop
 
 
 def test_scenario_validation():
