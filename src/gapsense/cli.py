@@ -92,15 +92,15 @@ def cmd_detect(args) -> str:
 
 
 def cmd_compare(args) -> str:
-    # a repeated name is one row, as in the JSON dict of rows
-    names = list(dict.fromkeys(n.strip() for n in args.datasets.split(",")
-                               if n.strip()))
+    names = {}  # a name repeated in any case is one row, as first spelled
+    for name in filter(None, map(str.strip, args.datasets.split(","))):
+        names.setdefault(name.lower(), name)
     if not names:
         raise UsageError("no datasets given")
     sens = _sensitivity(args)
     columns = ("mean", "boxplot", "mad", "chauvenet", "iir")
     matrix: dict[str, dict[str, list[float]]] = {}
-    for name in names:
+    for name in names.values():
         data = _load(name, None, Sample)
         matrix[name] = {m: list(run_method(m, data, sens).outlier_values)
                         for m in columns}

@@ -13,16 +13,18 @@ set already contains), but stays defined when g == m, where the ratio
 form divides by zero.  Both factors are recorded in traces for
 explainability; only the closed form is ever used for decisions.
 
-Two detectors share the score:
+Two detectors share the score, each through a row kernel that scans
+every ascending row of a block at once:
 
 * :func:`detect_high_side` grows the normal set upward from the minimum
-  and flags a high-value tail.
+  and flags a high-value tail.  Its kernel :func:`_high_side` also runs
+  the partner-set scan of :mod:`gapsense.oscillator`.
 * :func:`detect_two_sided` grows the normal set outward from the median
-  and flags both tails.
+  and flags both tails.  Its kernel :func:`_two_sided` also runs the
+  simulation of :mod:`gapsense.simulate`.
 
-Both, and the partner-set scan in :mod:`gapsense.oscillator`, order
-their gaps and hand them to one scan, :func:`_first_border`, which holds
-the running maximum and the stop rule.
+Both kernels hand their gaps to one scan, :func:`_first_border`, which
+holds the running maximum, the stop rule and the zero-span rule.
 
 Sensitivity is a single knob: either the score threshold c in [0, 2]
 directly, or a Weber fraction K in [0, 1] (the just-noticeable
@@ -114,14 +116,12 @@ def iir_closed_form(gap: float | np.ndarray, max_prev: float | np.ndarray,
     return (n - 1) * scale * (gap - max_prev) / (span * scale)
 
 
-def _gaps(values) -> np.ndarray:
-    """Consecutive differences of an ascending series.
-
-    A difference that overflows stays infinite, without a warning: the
-    span is then infinite too and :func:`iir_closed_form` rejects it.
-    """
+def _gaps(v: np.ndarray) -> tuple:
+    """Consecutive differences and span of each ascending row of the 2-D
+    ``v``.  One that overflows stays infinite, without a warning, and
+    :func:`iir_closed_form` rejects the infinite span."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.diff(values)
+        return v[:, 1:] - v[:, :-1], v[:, -1] - v[:, 0]
 
 
 #: Values per block of rows handed to the row kernels at once (one row
@@ -129,26 +129,28 @@ def _gaps(values) -> np.ndarray:
 _BLOCK = 1 << 14
 
 
-def _first_border(gaps: np.ndarray, start: np.ndarray, n: int, span,
-                  c: float, first: int = 0) -> tuple:
+def _first_border(seq: np.ndarray, n: int, span, c: float,
+                  first: int = 0) -> tuple:
     """The expanding scan: score each gap against the largest one before it.
 
-    Rows of gaps run along the last axis.  ``start`` holds each row's
-    starting maximum and ``span`` its span, in a trailing axis of length
-    one (for one row, a one-element array and a scalar).  Gap t is scored
-    against ``max(start, gaps[:t])``.  The border is the first t >=
-    ``first`` whose score reaches c, or the gap count when there is none;
-    the gaps after it are never accepted, but all are scored.  Returns the
-    border with every gap's ``max_prev`` and score.
+    Rows run along the last axis of ``seq``: the first entry seeds the
+    running maximum and the gaps after it are scored, gap t against
+    ``max(seq[..., :t + 1])``.  ``span`` holds each row's span in a
+    trailing axis of length one.  The border is the first t >= ``first``
+    whose score reaches c, or the gap count when there is none; a row of
+    zero span has none (it is scored on a unit span).  The gaps after the
+    border are never accepted, but all are scored.  Returns the border
+    with every gap's ``max_prev`` and score.
     """
-    max_prev = np.maximum.accumulate(np.concatenate((start, gaps), axis=-1),
-                                     axis=-1)[..., :-1]
-    iir = iir_closed_form(gaps, max_prev, n, span)
+    keep = span != 0.0
+    max_prev = np.maximum.accumulate(seq, axis=-1)[..., :-1]
+    iir = iir_closed_form(seq[..., 1:], max_prev, n, np.where(keep, span, 1.0))
     # a hit appended past the last gap: no border reads as the gap count
     hits = np.empty(iir.shape[:-1] + (iir.shape[-1] - first + 1,), bool)
     hits[..., -1] = True
     np.greater_equal(iir[..., first:], c, out=hits[..., :-1])
-    return first + hits.argmax(axis=-1), max_prev, iir
+    return (np.where(keep[..., 0], first + hits.argmax(axis=-1),
+                     iir.shape[-1]), max_prev, iir)
 
 
 class IirRecord(NamedTuple):
@@ -221,8 +223,8 @@ def _interval_detection(sample: Sample, method: str, params: dict,
 
 
 def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
-           max_prev: np.ndarray, iir: np.ndarray, n: int, span: float,
-           border: int) -> tuple[IirRecord, ...]:
+           max_prev: np.ndarray, iir: np.ndarray, span: float, border: int,
+           n: int) -> tuple[IirRecord, ...]:
     """Records of the scanned gaps, up to and including the border."""
     stop = min(border + 1, len(gap))
     gap, max_prev = gap[:stop], max_prev[:stop]
@@ -238,6 +240,19 @@ def _trace(index: np.ndarray, sides: list[Side], gap: np.ndarray,
         iir[:stop].tolist(), accepted)))
 
 
+def _high_side(v: np.ndarray, c: float, first: int) -> tuple:
+    """``(cut, scan)``: the scan from the minimum on each ascending row of
+    the 2-D ``v`` (n >= 2 values each).  Gap 1 seeds the maximum, gaps
+    i = 2..n-1 are scored, and a border may fall at i >= ``first`` + 2.
+    ``cut`` is the index of the border value per row, n when there is
+    none; ``scan`` holds per row the arguments ``gap`` to ``border`` of
+    :func:`_trace`."""
+    d, span = _gaps(v)
+    border, max_prev, iir = _first_border(d, v.shape[1], span[:, None], c,
+                                          first)
+    return border + 2, (d[:, 1:], max_prev, iir, span, border)
+
+
 def detect_high_side(sample: Sample,
                      sens: Sensitivity = DEFAULT_SENSITIVITY) -> Detection:
     """Expanding scan from the minimum; flags a high-value tail.
@@ -251,22 +266,17 @@ def detect_high_side(sample: Sample,
     """
     method, params = "iir-high", {"c": sens.threshold_c}
     v, n = sample.values, sample.n
-    if n < 3 or sample.min == sample.max:
-        return _interval_detection(sample, method, params, sample.min,
-                                   sample.max, degenerate=n >= 3)
-    span = sample.max - sample.min
-
-    # gap i (2..n-1) is d[i-1]; the first gap seeds the maximum and i > n/2
-    d = _gaps(v)
-    border, max_prev, iir = _first_border(d[1:], d[:1], n, span,
-                                          sens.threshold_c, first=n // 2 - 1)
-    trace = _trace(np.arange(2, n), ["high"] * (n - 2), d[1:], max_prev, iir,
-                   n, span, border)
+    if n < 3:
+        return _interval_detection(sample, method, params, v[0], v[-1])
+    cut, scan = _high_side(v[None], sens.threshold_c, n // 2 - 1)
+    degenerate = sample.min == sample.max
+    trace = () if degenerate else _trace(
+        np.arange(2, n), ["high"] * (n - 2), *(a[0] for a in scan), n)
     # flag from the border value up, nothing without a border
-    cut = n if border == n - 2 else int(np.searchsorted(v, v[border + 2]))
-    return _interval_detection(sample, method, params,
-                               v[0] if cut else None,
-                               v[cut - 1] if cut else None, trace)
+    cut = n if cut[0] == n else int(np.searchsorted(v, v[cut[0]]))
+    low, high = (v[0], v[cut - 1]) if cut else (None, None)
+    return _interval_detection(sample, method, params, low, high, trace,
+                               degenerate)
 
 
 def _two_sided(v: np.ndarray, c: float) -> tuple:
@@ -276,15 +286,12 @@ def _two_sided(v: np.ndarray, c: float) -> tuple:
     phase 2 scored, sides as a boolean ``is_right`` array (scan None when
     n < 3).  Rows of zero span keep their whole range."""
     n = v.shape[1]
-    # a span that overflows is inf, without a warning
-    with np.errstate(over="ignore"):
-        span = v[:, -1] - v[:, 0]
     if n < 3:
         return v[:, 0], v[:, -1], None
 
     # Outward gap runs from the median position(s): gap index hi+1, hi+2,
     # ... to the right and lo, lo-1, ... to the left (gap i is d[i-1]).
-    d = _gaps(v)
+    d, span = _gaps(v)
     lo, hi = (n - 1) // 2, n // 2
     right, left = d[:, hi:], d[:, lo - 1::-1]
     # "Absorb the smaller frontier gap, ties go right" takes the gaps in
@@ -297,20 +304,18 @@ def _two_sided(v: np.ndarray, c: float) -> tuple:
     row = np.arange(len(v))
     gaps = np.concatenate((right, left), axis=1)[row[:, None], order]
     # Phase 1 absorbs up to majority size; its gaps (and the middle gap
-    # when n is even) seed the inhibition level of phase 2.
+    # when n is even) seed the inhibition level of phase 2: their maximum
+    # takes the place of the last phase-1 gap, ahead of the phase-2 gaps.
     grown = n // 2 + 1 - (hi - lo + 1)
-    start_max = np.concatenate((d[:, lo:hi], gaps[:, :grown]),
-                               axis=1).max(axis=1, keepdims=True)
-    flat = span == 0.0
-    border, max_prev, iir = _first_border(gaps[:, grown:], start_max, n,
-                                          np.where(flat, 1.0, span)[:, None],
-                                          c)
+    seq = gaps[:, grown - 1:]
+    seq[:, 0] = np.concatenate((d[:, lo:hi], gaps[:, :grown]),
+                               axis=1).max(axis=1)
+    border, max_prev, iir = _first_border(seq, n, span[:, None], c)
     # the accepted run holds the gaps before the border, or all of them
     taken = grown + border
     n_right = np.cumsum(is_right, axis=1)[row, taken - 1]
-    return (np.where(flat, v[:, 0], v[row, lo - (taken - n_right)]),
-            np.where(flat, v[:, -1], v[row, hi + n_right]),
-            (index[:, grown:], is_right[:, grown:], gaps[:, grown:],
+    return (v[row, lo - (taken - n_right)], v[row, hi + n_right],
+            (index[:, grown:], is_right[:, grown:], seq[:, 1:],
              max_prev, iir, span, border))
 
 
@@ -333,6 +338,6 @@ def detect_two_sided(sample: Sample,
     if scan is not None and not degenerate:
         index, right, gap, max_prev, iir, span, border = (a[0] for a in scan)
         trace = _trace(index, np.where(right, "high", "low").tolist(), gap,
-                       max_prev, iir, sample.n, span, border)
+                       max_prev, iir, span, border, sample.n)
     return _interval_detection(sample, method, params, low[0], high[0], trace,
                                degenerate=degenerate)

@@ -1,12 +1,12 @@
 """Multi-class clustering by per-point partner sets and resonance.
 
-Every point runs the one-sided expanding scan on its own sorted distance
-series to pick a partner set (its local notion of "my cluster"); the
-scan takes blocks of distance rows at once.  A resonance run then seeds
-one point and fires everything reachable along partner links, and the
-runs of all seeds vote each point into a cluster.  The runs are read off
-the strongly connected components of the partner graph: all members of
-a component fire the same set, so the vote is a vote among components.
+Every point runs the one-sided scan of ``iir-high`` on its own sorted
+distances to pick a partner set (its local notion of "my cluster"), on
+blocks of distance rows at once.  A resonance run then seeds one point
+and fires everything reachable along partner links, and the runs of all
+seeds vote each point into a cluster.  The runs are read off the
+strongly connected components of the partner graph: all members of a
+component fire the same set, so the vote is a vote among components.
 
 Point ids are 1-based throughout this module, matching input file rows.
 """
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .expanding import (_BLOCK, DEFAULT_SENSITIVITY, Sensitivity,
-                        _first_border, _gaps)
+                        _high_side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +114,10 @@ def partner_links(dist: np.ndarray, sens: Sensitivity = DEFAULT_SENSITIVITY,
         if bad.any():
             raise ValueError(f"negative or NaN distance in row "
                              f"{lo + bad.argmax() + 1}")
-        span = series[:, -1:]
-        flat = span <= 0.0
-        # gap t (2..n-1) is d[:, t-1]; the nearest-neighbor gap seeds the
-        # maximum; zero-span rows are scored on a unit span, then dropped
-        d = _gaps(series)
-        border, _, _ = _first_border(d[:, 1:], d[:, :1], n,
-                                     np.where(flat, 1.0, span),
-                                     sens.threshold_c, first=min_partners - 1)
-        found = np.flatnonzero((border < n - 2) & ~flat[:, 0])
-        radius[lo + found] = series[found, border[found] + 2]
+        # the nearest-neighbor distance is gap 1 and seeds the maximum
+        cut = _high_side(series, sens.threshold_c, min_partners - 1)[0]
+        found = np.flatnonzero(cut < n)
+        radius[lo + found] = series[found, cut[found]]
     link = dist < radius[:, None]
     np.fill_diagonal(link, False)
     return link, radius

@@ -96,7 +96,7 @@ def curves_from_dicts(rows: list[dict[str, Any]]) -> list[CurvePoint]:
 
 
 def to_json(obj: Any) -> str:
-    """Compact, key-stable JSON text with a trailing newline."""
+    """Key-stable JSON text, indented by two spaces, with a trailing newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

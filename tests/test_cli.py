@@ -211,6 +211,14 @@ def test_compare_repeated_name_is_one_row(capsys):
     assert out == run(capsys, "compare", "--datasets", "rosner,cushny")[1]
     assert [line.split()[0] for line in out.splitlines()[1:-1]] \
         == ["rosner", "cushny"]
+    # names match in any case; the row keeps the first spelling
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "compare", "--datasets", "Rosner,rosner",
+                           "--format", fmt)
+        assert code == 0
+        assert out == run(capsys, "compare", "--datasets", "Rosner",
+                          "--format", fmt)[1]
+        assert "Rosner" in out and "rosner" not in out
 
 
 def test_compare_unknown_dataset(capsys):

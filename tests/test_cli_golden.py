@@ -45,6 +45,10 @@ FILES = {
     "bad.csv": b"1,2\n3\n",
     "empty.txt": b"",
     "tri.csv": b"0,0\n1,1\n2,2\n",
+    "flat.txt": b"3\n3\n3\n3\n3\n",
+    "zeros.txt": b"0\n-0\n2\n-0.0\n0.0\n-1\n0\n-0\n0\n1\n-0\n0\n"
+                 b"-0\n7\n0\n-0\n0\n-0\n-0\n0\n",
+    "same.csv": b"1,1\n1,1\n1,1\n1,1\n",
 }
 
 def _cases() -> list[list[str]]:
@@ -68,6 +72,14 @@ def _cases() -> list[list[str]]:
           ["detect", "--input", "{d}/x.txt"],
           ["detect", "--input", "{d}/x.txt", "--format", "json"],
           ["detect", "--input", "{d}/x.txt", "--format", "csv"]]
+    # constant data and signed zeros: at c=0 only the zero-span rule and
+    # the signs of zero decide the result
+    for name in ("flat.txt", "zeros.txt"):
+        for m in ("iir", "iir-high"):
+            c.append(["detect", "--input", "{d}/" + name, "--method", m,
+                      "--trace", "--format", "json", "--c", "0"])
+    c += [["detect", "--input", "{d}/zeros.txt", "--method", m, "--trace"]
+          for m in ("iir", "iir-high")]
     for m in METHODS:
         c.append(["detect", "--input", "{d}/huge.txt", "--method", m])
         c.append(["detect", "--input", "{d}/dev.txt", "--method", m])
@@ -116,6 +128,8 @@ def _cases() -> list[list[str]]:
     c += [["cluster", "--dataset", "ruspini", "--min-partners", "1"],
           ["cluster", "--dataset", "ruspini", "--K", "0.2"],
           ["cluster", "--input", "{d}/huge.csv", "--min-partners", "1"],
+          ["cluster", "--input", "{d}/same.csv", "--c", "0",
+           "--min-partners", "1"],
           ["cluster", "--input", "{d}/bad.csv"],
           ["cluster", "--input", "{d}/latin.txt"],
           ["cluster", "--input", "{d}/missing.csv"],

@@ -1,11 +1,12 @@
-"""The row kernels behind the detectors and the simulation.
+"""The row kernels behind the detectors, the simulation and the partner
+scan.
 
 ``expanding._two_sided``, ``baselines._fences`` and
 ``baselines._mad_interval`` read a normal interval off every ascending row
-of a block at once; a detector calls them on its one sample.  Each row of
-a block must give exactly what the one-row call and the independent
-oracles give on that row alone, with no tolerance, down to the sign of a
-zero.
+of a block at once, and ``expanding._high_side`` the index of each row's
+border value; a detector calls them on its one sample.  Each row of a
+block must give exactly what the one-row call and the independent oracles
+give on that row alone, with no tolerance, down to the sign of a zero.
 """
 import math
 
@@ -14,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from gapsense import Sample, Sensitivity, detect_two_sided
 from gapsense.baselines import MAD_CONSISTENCY, _fences, _mad_interval
-from gapsense.expanding import _outside, _two_sided
-from scan_oracles import (fences_oracle, mad_interval_oracle, two_sided_loop,
-                          two_sided_oracle)
+from gapsense.expanding import _high_side, _outside, _two_sided
+from scan_oracles import (fences_oracle, high_side_loop, mad_interval_oracle,
+                          two_sided_loop, two_sided_oracle)
 
 THRESHOLDS = (0.0, 0.5, 1.1, 1.81, 1.96, 2.0)
 
@@ -50,12 +51,17 @@ blocks = st.sampled_from([2, 3, 4, 5, 6, 9, 16]).flatmap(
 def test_row_kernels_equal_one_row_calls_and_oracles(block, c):
     v = np.sort(np.array(block), axis=-1, kind="stable")
     sens = Sensitivity.from_threshold(c)
+    n = v.shape[1]
     low, high, _ = _two_sided(v, c)
+    cut, _ = _high_side(v, c, n // 2 - 1)
     box = _fences(v, 1.5)
     mad = _mad_interval(v, 3.0, MAD_CONSISTENCY)
     for i, row in enumerate(v):
         values = row.tolist()
         sample = Sample.from_iterable(values)
+        border = high_side_loop(sample, sens).border
+        assert cut[i] == (n if border is None else border.index)
+        assert _high_side(row[None], c, n // 2 - 1)[0][0] == cut[i]
         loop = two_sided_loop(sample, sens)
         det = detect_two_sided(sample, sens)
         for one in (loop, det):
