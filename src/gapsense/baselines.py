@@ -84,6 +84,28 @@ def _hinges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _median(v[..., :(n + 1) // 2]), _median(v[..., n // 2:])
 
 
+def _exactly_scaled(rule: Callable) -> Callable:
+    """``rule``, which reads an interval (low, high) off each ascending row
+    of ``v``, with every row whose interval has an end past the double
+    range read again off the row scaled by an exact power of two to
+    magnitudes below 1, and scaled back.  An intermediate such as
+    ``whisker * iqr`` that overflowed then no longer turns an end that is
+    a double into an infinity; ordinary rows keep ``rule``'s result."""
+    def scaled_rule(v: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
+        low, high = rule(v, *args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.isfinite(high - low)
+        if ok.all():
+            return low, high
+        e = np.frexp(np.maximum(-v[..., 0], v[..., -1]))[1]
+        low2, high2 = rule(np.ldexp(v, -e[..., None]), *args)
+        with np.errstate(over="ignore"):
+            return (np.where(ok, low, np.ldexp(low2, e)),
+                    np.where(ok, high, np.ldexp(high2, e)))
+    return scaled_rule
+
+
+@_exactly_scaled
 def _fences(v: np.ndarray, whisker: float) -> tuple[np.ndarray, np.ndarray]:
     """The boxplot interval q1 - w*IQR, q3 + w*IQR of each ascending row."""
     q1, q3 = _hinges(v)
@@ -104,6 +126,7 @@ def boxplot_detect(sample: Sample, whisker: float = 1.5) -> Detection:
                                *_fences(sample.values, whisker))
 
 
+@_exactly_scaled
 def _mad_interval(v: np.ndarray, k: float,
                   b: float) -> tuple[np.ndarray, np.ndarray]:
     """median -+ k * MADn of each ascending row of ``v``; [median, median]

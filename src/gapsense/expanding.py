@@ -23,8 +23,10 @@ every ascending row of a block at once:
   and flags both tails.  Its kernel :func:`_two_sided` also runs the
   simulation of :mod:`gapsense.simulate`.
 
-Both kernels hand their gaps to one scan, :func:`_first_border`, which
-holds the running maximum, the stop rule and the zero-span rule.
+Both kernels hand their gaps, each with the running maximum it is scored
+against, to one scan, :func:`_first_border`, which holds the stop rule and
+the zero-span rule.  Each kernel finds that maximum its own way: the
+high side accumulates it, the two-sided scan reads it off its merge keys.
 
 Sensitivity is a single knob: either the score threshold c in [0, 2]
 directly, or a Weber fraction K in [0, 1] (the just-noticeable
@@ -99,8 +101,9 @@ def iir_closed_form(gap: float | np.ndarray, max_prev: float | np.ndarray,
     their full range.  Negative when the gap is smaller than the largest
     previously accepted one, zero when equal.  ``gap`` and ``max_prev``
     may be numpy arrays, scored elementwise, and ``span`` an array that
-    broadcasts against them (one span per row).  A span that overflowed
-    to infinity raises :class:`OverflowError`.
+    broadcasts against them (one span per row, each row scored as it would
+    be alone).  A span that overflowed to infinity raises
+    :class:`OverflowError`.
     """
     low, high = ((span.min(), span.max()) if isinstance(span, np.ndarray)
                  else (span, span))
@@ -110,10 +113,12 @@ def iir_closed_form(gap: float | np.ndarray, max_prev: float | np.ndarray,
         raise ValueError(f"span must be positive, got {low}")
     if n < 2:
         raise ValueError(f"need at least two points, got n={n}")
-    # scaled by 2**-e, with span < 2**e and e >= 0, (n-1) times a difference
-    # cannot overflow; the scaling is exact, so ordinary scores keep every bit
-    scale = math.ldexp(1.0, -max(math.frexp(high)[1], 0))
-    return (n - 1) * scale * (gap - max_prev) / (span * scale)
+    # scaled by 2**-e, with span < 2**e and e >= 0 for each span on its own,
+    # (n-1) times a difference cannot overflow nor a small span underflow;
+    # the scaling is exact, so ordinary scores keep every bit
+    e = -np.maximum(np.frexp(span)[1], 0)
+    iir = np.ldexp(n - 1.0, e) * (gap - max_prev) / np.ldexp(span, e)
+    return iir if isinstance(iir, np.ndarray) else float(iir)
 
 
 def _gaps(v: np.ndarray) -> tuple:
@@ -129,28 +134,27 @@ def _gaps(v: np.ndarray) -> tuple:
 _BLOCK = 1 << 14
 
 
-def _first_border(seq: np.ndarray, n: int, span, c: float,
-                  first: int = 0) -> tuple:
+def _first_border(gap: np.ndarray, max_prev: np.ndarray, n: int, span,
+                  c: float, first: int = 0) -> tuple:
     """The expanding scan: score each gap against the largest one before it.
 
-    Rows run along the last axis of ``seq``: the first entry seeds the
-    running maximum and the gaps after it are scored, gap t against
-    ``max(seq[..., :t + 1])``.  ``span`` holds each row's span in a
-    trailing axis of length one.  The border is the first t >= ``first``
-    whose score reaches c, or the gap count when there is none; a row of
-    zero span has none (it is scored on a unit span).  The gaps after the
-    border are never accepted, but all are scored.  Returns the border
-    with every gap's ``max_prev`` and score.
+    Rows run along the last axis of ``gap``, and ``max_prev`` holds the
+    running maximum each gap is scored against (the caller's kernel knows
+    its gap order, and so the cheapest way to that maximum).  ``span``
+    holds each row's span in a trailing axis of length one.  The border is
+    the first t >= ``first`` whose score reaches c, or the gap count when
+    there is none; a row of zero span has none (it is scored on a unit
+    span).  The gaps after the border are never accepted, but all are
+    scored.  Returns the border with every gap's score.
     """
     keep = span != 0.0
-    max_prev = np.maximum.accumulate(seq, axis=-1)[..., :-1]
-    iir = iir_closed_form(seq[..., 1:], max_prev, n, np.where(keep, span, 1.0))
+    iir = iir_closed_form(gap, max_prev, n, np.where(keep, span, 1.0))
     # a hit appended past the last gap: no border reads as the gap count
     hits = np.empty(iir.shape[:-1] + (iir.shape[-1] - first + 1,), bool)
     hits[..., -1] = True
     np.greater_equal(iir[..., first:], c, out=hits[..., :-1])
-    return (np.where(keep[..., 0], first + hits.argmax(axis=-1),
-                     iir.shape[-1]), max_prev, iir)
+    return np.where(keep[..., 0], first + hits.argmax(axis=-1),
+                    iir.shape[-1]), iir
 
 
 class IirRecord(NamedTuple):
@@ -248,8 +252,9 @@ def _high_side(v: np.ndarray, c: float, first: int) -> tuple:
     none; ``scan`` holds per row the arguments ``gap`` to ``border`` of
     :func:`_trace`."""
     d, span = _gaps(v)
-    border, max_prev, iir = _first_border(d, v.shape[1], span[:, None], c,
-                                          first)
+    max_prev = np.maximum.accumulate(d[:, :-1], axis=1)
+    border, iir = _first_border(d[:, 1:], max_prev, v.shape[1], span[:, None],
+                                c, first)
     return border + 2, (d[:, 1:], max_prev, iir, span, border)
 
 
@@ -282,9 +287,11 @@ def detect_high_side(sample: Sample,
 def _two_sided(v: np.ndarray, c: float) -> tuple:
     """``(low, high, scan)``: the normal interval of the median-expanding
     scan on each ascending row of the 2-D ``v`` (one sample is the one-row
-    case), and per row the arguments of :func:`_trace` but n for the gaps
-    phase 2 scored, sides as a boolean ``is_right`` array (scan None when
-    n < 3).  Rows of zero span keep their whole range."""
+    case), and per row, for the gaps phase 2 scored, their places in
+    ``order`` and the arguments ``gap`` to ``border`` of :func:`_trace`
+    (scan None when n < 3).  ``order`` numbers the right run of gaps hi+1,
+    hi+2, ... from 0 and then the left run lo, lo-1, ..., with lo, hi =
+    (n-1)//2, n//2.  Rows of zero span keep their whole range."""
     n = v.shape[1]
     if n < 3:
         return v[:, 0], v[:, -1], None
@@ -296,27 +303,34 @@ def _two_sided(v: np.ndarray, c: float) -> tuple:
     right, left = d[:, hi:], d[:, lo - 1::-1]
     # "Absorb the smaller frontier gap, ties go right" takes the gaps in
     # the order of a stable merge of the two runs keyed by running maximum.
-    order = np.argsort(np.concatenate(
-        (np.maximum.accumulate(right, axis=1),
-         np.maximum.accumulate(left, axis=1)), axis=1), axis=1, kind="stable")
-    is_right = order < right.shape[1]
-    index = np.where(is_right, hi + 1 + order, lo + right.shape[1] - order)
-    row = np.arange(len(v))
-    gaps = np.concatenate((right, left), axis=1)[row[:, None], order]
+    keys = np.concatenate((np.maximum.accumulate(right, axis=1),
+                           np.maximum.accumulate(left, axis=1)), axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    at = order + np.arange(0, keys.size, keys.shape[1])[:, None]
+    gaps = np.concatenate((right, left), axis=1).take(at)
     # Phase 1 absorbs up to majority size; its gaps (and the middle gap
-    # when n is even) seed the inhibition level of phase 2: their maximum
-    # takes the place of the last phase-1 gap, ahead of the phase-2 gaps.
+    # when n is even) seed the inhibition level of phase 2.
     grown = n // 2 + 1 - (hi - lo + 1)
-    seq = gaps[:, grown - 1:]
-    seq[:, 0] = np.concatenate((d[:, lo:hi], gaps[:, :grown]),
-                               axis=1).max(axis=1)
-    border, max_prev, iir = _first_border(seq, n, span[:, None], c)
-    # the accepted run holds the gaps before the border, or all of them
+    seed = np.concatenate((d[:, lo:hi], gaps[:, :grown]),
+                          axis=1).max(axis=1)[:, None]
+    # The merge keeps each run's order, so the running maximum of the
+    # merged gaps is the merged keys, and max_prev is the larger of the
+    # seed and the key before each gap.  np.maximum keeps the later of two
+    # equal values, as its accumulate does, so a zero keeps its sign: when
+    # every gap so far is a zero, its key is the gap itself.
+    max_prev = np.maximum(seed, keys.take(at[:, grown - 1:-1]))
+    max_prev[:, 0] = seed[:, 0]
+    border, iir = _first_border(gaps[:, grown:], max_prev, n, span[:, None],
+                                c)
+    # the accepted run holds the gaps before the border, or all of them; a
+    # run's gaps merge in run order, so its last one taken counts the run
+    row = np.arange(len(v))
     taken = grown + border
-    n_right = np.cumsum(is_right, axis=1)[row, taken - 1]
+    last = order[row, taken - 1]
+    n_right = np.where(last < right.shape[1], last + 1,
+                       taken + right.shape[1] - 1 - last)
     return (v[row, lo - (taken - n_right)], v[row, hi + n_right],
-            (index[:, grown:], is_right[:, grown:], seq[:, 1:],
-             max_prev, iir, span, border))
+            (order[:, grown:], gaps[:, grown:], max_prev, iir, span, border))
 
 
 def detect_two_sided(sample: Sample,
@@ -336,8 +350,12 @@ def detect_two_sided(sample: Sample,
     degenerate = sample.n >= 3 and sample.min == sample.max
     trace = ()
     if scan is not None and not degenerate:
-        index, right, gap, max_prev, iir, span, border = (a[0] for a in scan)
+        order, gap, max_prev, iir, span, border = (a[0] for a in scan)
+        n = sample.n
+        lo, hi = (n - 1) // 2, n // 2
+        right = order < n - 1 - hi  # the right run holds n-1-hi gaps
+        index = np.where(right, hi + 1 + order, lo + n - 1 - hi - order)
         trace = _trace(index, np.where(right, "high", "low").tolist(), gap,
-                       max_prev, iir, span, border, sample.n)
+                       max_prev, iir, span, border, n)
     return _interval_detection(sample, method, params, low[0], high[0], trace,
                                degenerate=degenerate)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,66 @@ def test_median_rows_keep_their_sums_beside_an_overflowing_row():
                          ids=["mean", "chauvenet"])
 def test_mean_of_values_near_the_double_max(detect):
     _matches_scaled_data(detect)
+
+
+def _exact_median(xs):
+    xs = sorted(xs)
+    i = len(xs) // 2
+    return xs[i] if len(xs) % 2 else (xs[i - 1] + xs[i]) / 2
+
+
+def _exact_flags(values, method):
+    """Indices outside the boxplot (whisker 1.5) or MAD (k 3) interval of
+    ``values``, in exact rational arithmetic: no intermediate overflows."""
+    xs = [Fraction(x) for x in values]
+    n = len(xs)
+    if method == "boxplot":
+        q1, q3 = _exact_median(xs[:(n + 1) // 2]), _exact_median(xs[n // 2:])
+        low, high = (q1 - Fraction(1.5) * (q3 - q1),
+                     q3 + Fraction(1.5) * (q3 - q1))
+    else:
+        med = _exact_median(xs)
+        madn = Fraction(MAD_CONSISTENCY) * _exact_median(
+            [abs(x - med) for x in xs])
+        low, high = med - 3 * madn, med + 3 * madn
+    return tuple(i for i, x in enumerate(xs) if x < low or x > high)
+
+
+@pytest.mark.parametrize("method, values, flagged", [
+    # k * MADn overflows, but the high end is 1.0238e308
+    ("mad", [-1.2677964076059891e308, -1.2080361574019415e308,
+             -1.1959149445462517e308, -4.495957798003728e307,
+             1.0677789619922068e308, 1.6830158023912567e308], (4, 5)),
+    # whisker * IQR overflows, but the high fence is 1.75e308
+    ("boxplot", [-1.6e308, -1.5e308, -1.5e308, -1.4e308, -0.3e308, -0.2e308,
+                 -0.2e308, -0.1e308, 1.79e308], (8,)),
+])
+def test_interval_ends_that_are_doubles_survive_an_overflow(method, values,
+                                                            flagged):
+    det = run_method(method, Sample.from_iterable(values))
+    assert det.outlier_indices == flagged == _exact_flags(values, method)
+    assert math.isfinite(det.normal_high)
+
+
+# doubles up to the largest, down to where a difference of two is still
+# normal after any scaling below (subnormal rounding is another matter),
+# and samples near the double max, where intervals overflow most
+wide_values = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(2.0 ** -400, 1.79e308),
+                       st.floats(-1.79e308, -2.0 ** -400)),
+             min_size=3, max_size=12),
+    st.lists(st.integers(-179, 179).map(lambda m: m * 1e306), min_size=3,
+             max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=wide_values, k=st.integers(1, 400))
+def test_boxplot_and_mad_flag_the_same_values_at_every_binary_scale(values,
+                                                                    k):
+    s1 = Sample.from_iterable(values)
+    s2 = Sample.from_iterable([math.ldexp(x, -k) for x in values])
+    for detect in (boxplot_detect, mad_detect):
+        assert detect(s1).outlier_indices == detect(s2).outlier_indices
 
 
 # --- shared properties --------------------------------------------------------

@@ -9,6 +9,7 @@ block must give exactly what the one-row call and the independent oracles
 give on that row alone, with no tolerance, down to the sign of a zero.
 """
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -98,3 +99,19 @@ def test_two_sided_block_of_flat_short_and_borderless_rows():
     low, high, scan = _two_sided(np.array([[-2.0, 1.0], [3.0, 3.0]]), 1.81)
     assert scan is None
     assert low.tolist() == [-2.0, 3.0] and high.tolist() == [1.0, 3.0]
+
+
+def test_each_row_is_scored_on_its_own_span():
+    # a row of subnormal span beside one of span >= 1: scaled by the
+    # exponent of the larger span, the small one underflowed to 0
+    v = np.array([[0.0, 1e-320, 2e-320, 3e-320, 9e-320],
+                  [0.0, 1.0, 2.0, 3.0, 1e6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cut, _ = _high_side(v, 0.5, 1)
+        low, high, _ = _two_sided(v, 1.81)
+    assert cut[0] == 4 and high[0] == 3e-320
+    for i, row in enumerate(v):
+        assert cut[i] == _high_side(row[None], 0.5, 1)[0][0]
+        one_low, one_high, _ = _two_sided(row[None], 1.81)
+        assert same(low[i], one_low[0]) and same(high[i], one_high[0])

@@ -133,16 +133,15 @@ scenario_lists = st.lists(st.builds(
 
 
 class SortSpy:
-    """Records every 2-D stable sort, the simulation's sorted blocks."""
+    """Records every block the simulation sorts, through its one sort."""
 
     def __init__(self):
         self.blocks = []
-        self.sort = np.sort
+        self.sort = simulate._sorted_rows
 
-    def __call__(self, a, *args, **kwargs):
-        if kwargs.get("kind") == "stable" and np.ndim(a) == 2:
-            self.blocks.append(np.array(a))
-        return self.sort(a, *args, **kwargs)
+    def __call__(self, a):
+        self.blocks.append(np.array(a))
+        return self.sort(a)
 
 
 @settings(max_examples=120, deadline=None)
@@ -158,7 +157,7 @@ def test_curves_match_replication_loop(n, contamination, g_mean, g_sd, reps,
     # runs of equal (n, master_seed) in ``more`` share their draws
     scenarios = [scn, *more]
     spy = SortSpy()
-    with mock.patch.object(np, "sort", spy):
+    with mock.patch.object(simulate, "_sorted_rows", spy):
         curve = breakdown_curve(scenarios, sens)
     assert curve == [sweep_point_loop(s, 100.0 * s.contamination, sens)
                      for s in scenarios]
@@ -227,7 +226,7 @@ def test_blocks_stay_within_the_budget():
     tracemalloc.stop()
     # well below the 50 x 10,000 doubles (4 MB) of a whole draw matrix
     assert peak < 50 * 10000 * 8 / 2
-    with mock.patch.object(np, "sort", spy), \
+    with mock.patch.object(simulate, "_sorted_rows", spy), \
             mock.patch.object(simulate, "_draws", record):
         pure_normal_curve([10000], reps=50, master_seed=1)
         assert {b.shape for b in spy.blocks} == {(1, 10000)}
